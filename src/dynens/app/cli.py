@@ -15,9 +15,8 @@ import time
 
 from ..history import History, HistoryError
 from ..runtime import EnsembleError, run_ensemble
+from ..runtime.manager import HISTORY_FILENAME
 from .config import ConfigError, load_config
-
-HISTORY_FILENAME = "history.tsv"
 
 
 def _add_override_flags(parser):

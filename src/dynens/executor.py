@@ -59,14 +59,13 @@ def build_runline(
     app_args: tuple[str, ...] = (),
     num_procs: int | None = None,
     num_gpus_per_node: int | None = None,
-    gpu_ids_per_node: tuple[int, ...] | None = None,
     extra_args: tuple[str, ...] = (),
 ) -> tuple[list[str], dict[str, str]]:
     """Compose (argv, extra environment) for one launch.
 
-    num_procs defaults to the assignment's total; GPU arguments default to
-    what the assignment carries. Per-node GPU counts and (for env settings)
-    id lists must agree across nodes.
+    num_procs defaults to the assignment's total and num_gpus_per_node to
+    its per-node GPU count; GPU ids are always the assignment's. Per-node
+    GPU counts and (for env settings) id lists must agree across nodes.
     """
     procs = num_procs if num_procs is not None else assignment.total_procs
     n_nodes = len(assignment.nodes)
@@ -74,21 +73,20 @@ def build_runline(
         raise ExecutorError(f"nothing to launch: procs={procs}, nodes={n_nodes}")
     ppn = math.ceil(procs / n_nodes)
 
-    if gpu_ids_per_node is None:
-        id_sets = {n.gpu_ids for n in assignment.nodes}
-        if len(id_sets) > 1 and platform.gpu_setting_type == "env":
-            raise ExecutorError(
-                f"GPU ids differ across nodes {sorted(id_sets)}; an environment "
-                "setting needs identical ids (schedule with match_slots)"
-            )
-        gpu_ids_per_node = assignment.nodes[0].gpu_ids
+    id_sets = {n.gpu_ids for n in assignment.nodes}
+    if len(id_sets) > 1 and platform.gpu_setting_type == "env":
+        raise ExecutorError(
+            f"GPU ids differ across nodes {sorted(id_sets)}; an environment "
+            "setting needs identical ids (schedule with match_slots)"
+        )
+    gpu_ids = assignment.nodes[0].gpu_ids
     if num_gpus_per_node is None:
         counts = {len(n.gpu_ids) for n in assignment.nodes}
         if len(counts) > 1:
             raise ExecutorError(
                 "GPU counts differ across nodes; request a multiple of the node count"
             )
-        num_gpus_per_node = len(gpu_ids_per_node)
+        num_gpus_per_node = len(gpu_ids)
 
     runner = platform.mpi_runner
     name = platform.runner_name
@@ -108,7 +106,7 @@ def build_runline(
 
     env: dict[str, str] = {}
     if num_gpus_per_node > 0:
-        joined = ",".join(str(i) for i in gpu_ids_per_node)
+        joined = ",".join(str(i) for i in gpu_ids)
         if platform.gpu_setting_type == "env":
             env[platform.gpu_setting_name] = joined
         elif platform.gpu_setting_type == "option_gpus_per_node":
@@ -285,16 +283,14 @@ class Executor:
         assignment: Assignment,
         workdir: str,
         worker_id: int = 0,
-        dry_run: bool | None = None,
     ) -> Task:
         """Launch one task for the given assignment.
 
-        In dry-run mode the run line is composed and logged but no process
-        starts; the task stays CREATED.
+        When the executor was built with dry_run, the run line is composed
+        and printed but no process starts; the task stays CREATED.
         """
         path = self.app_path(spec.app)
-        dry = self.dry_run if dry_run is None else dry_run
-        if not dry and not os.path.exists(path):
+        if not self.dry_run and not os.path.exists(path):
             raise ExecutorError(f"application path {path!r} does not exist")
 
         gpus_total = None
@@ -335,8 +331,8 @@ class Executor:
         if spec.env_script:
             argv = [_wrap_with_env_script(spec.env_script, argv, workdir, task_id)]
 
-        task = Task(task_id, argv, env, workdir, dry_run=dry)
-        if dry:
+        task = Task(task_id, argv, env, workdir, dry_run=self.dry_run)
+        if self.dry_run:
             log.info("dry-run %s: %s", task_id, task.runline)
             # One write per line: workers share stdout, and print's separate
             # newline write lets lines from two workers run together.

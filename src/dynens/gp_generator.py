@@ -130,13 +130,14 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
                  exclude=None) -> tuple[list[int], list[float]]:
     """Greedy variance-ranked selection with a decaying separation radius.
 
-    Candidates are walked in variance-descending order (ties by index);
-    one is accepted only if it keeps Euclidean distance >= r to everything
-    already accepted and to every excluded point. A pass that fails to
-    fill the batch halves r and sweeps again; once r falls below r_min the
-    remainder is filled by pure variance rank, skipping exact duplicates
-    of excluded points. Returns the indices and the r in force at each
-    acceptance (0.0 for rank fills).
+    Candidates are ranked by variance, descending (ties by index). Each
+    keeps the distance to its nearest excluded or accepted point; the
+    first-ranked candidate at distance >= r is accepted, and when none
+    is left r shrinks by r_decay. An accepted point sits at distance 0,
+    so it is never picked twice. Once r falls below r_min the batch is
+    filled by pure variance rank, skipping exact duplicates of excluded
+    points. Returns the indices and the r in force at each acceptance
+    (0.0 for rank fills).
     """
     pts = grid.points
     variances = np.asarray(variances, dtype=float)
@@ -150,49 +151,34 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
         if excl.shape[1] != pts.shape[1]:
             raise GeneratorError("excluded points have the wrong dimension")
 
+    # Everything below works in rank order.
     order = np.lexsort((np.arange(len(pts)), -variances))
-    if len(excl):
-        dup = np.array([np.any(np.all(excl == p, axis=1)) for p in pts])
-    else:
-        dup = np.zeros(len(pts), dtype=bool)
+    ranked = pts[order]
+    near = np.full(len(pts), np.inf)
+    dup = np.zeros(len(pts), dtype=bool)
+    for e in excl:
+        near = np.minimum(near, np.linalg.norm(ranked - e, axis=1))
+        dup |= np.all(ranked == e, axis=1)
     if len(pts) - int(dup.sum()) < params.batch_size:
         raise GeneratorError(
             f"grid has {len(pts) - int(dup.sum())} selectable points, "
             f"batch needs {params.batch_size}")
 
-    accepted: list[int] = []
+    picked: list[int] = []
     trace: list[float] = []
-    taken = np.zeros(len(pts), dtype=bool)
     r = params.r_initial
-    while len(accepted) < params.batch_size and r >= params.r_min:
-        for idx in order:
-            if taken[idx]:
-                continue
-            p = pts[idx]
-            if len(excl) and np.min(
-                    np.linalg.norm(excl - p, axis=1)) < r:
-                continue
-            if accepted and np.min(
-                    np.linalg.norm(pts[accepted] - p, axis=1)) < r:
-                continue
-            accepted.append(int(idx))
-            taken[idx] = True
-            trace.append(r)
-            if len(accepted) == params.batch_size:
-                break
-        else:
+    while len(picked) < params.batch_size and r >= params.r_min:
+        j = int(np.argmax(near >= r))
+        if near[j] < r:
             r *= params.r_decay
             continue
-        break
-    for idx in order:
-        if len(accepted) == params.batch_size:
-            break
-        if taken[idx] or dup[idx]:
-            continue
-        accepted.append(int(idx))
-        taken[idx] = True
-        trace.append(0.0)
-    return accepted, trace
+        picked.append(j)
+        trace.append(r)
+        near = np.minimum(near, np.linalg.norm(ranked - ranked[j], axis=1))
+    fill = np.setdiff1d(np.flatnonzero(~dup), picked)
+    fill = fill[:params.batch_size - len(picked)]
+    trace += [0.0] * len(fill)
+    return order[picked + list(fill)].tolist(), trace
 
 
 def metrics(model: GaussianProcess, test_set,
@@ -273,28 +259,36 @@ class _OnlineLearner:
         train_seconds = time.perf_counter() - t0
         return rmse_batch, method, train_seconds
 
-    def replay(self, records: list[EnsembleRecord], batch_size: int):
+    def replay(self, records: list[EnsembleRecord], batch_size: int,
+               random_mode: bool):
         """Re-apply a prior history in generation order. Complete returned
         chunks are ingested; a trailing chunk with unreturned records is
-        the batch still in flight, to be awaited rather than re-selected."""
+        the batch still in flight, to be awaited rather than re-selected.
+
+        Returns (the in-flight records, the uniform rows the prior run
+        drew, whether the last ingested chunk was all NaN). The prior run
+        drew one row per point of the bootstrap batch, of every batch
+        sent after an all-NaN one, and of every batch in random mode."""
         records = sorted(records, key=lambda r: r.sim_id)
-        outstanding: list[EnsembleRecord] = []
+        drawn = 0
+        dead = True  # the bootstrap batch is drawn like a re-probe
         pos = 0
         while pos < len(records):
             chunk = records[pos:pos + batch_size]
-            if all(r.returned for r in chunk):
-                self.note_sent([r.x for r in chunk])
-                self.ingest(chunk)
-                pos += batch_size
-            else:
+            if random_mode or dead:
+                drawn += len(chunk)
+            if not all(r.returned for r in chunk):
                 break
+            self.note_sent([r.x for r in chunk])
+            dead = self.ingest(chunk) is None
+            pos += batch_size
         # The suffix is the batch still in flight. Any already-returned
         # record in it was never forwarded as part of a complete batch and
         # comes back with the rest once the unreturned ones finish.
-        for r in records[pos:]:
-            self.note_sent([r.x])
-            outstanding.append(r)
-        return outstanding
+        outstanding = records[pos:]
+        if outstanding:
+            self.note_sent([r.x for r in outstanding])
+        return outstanding, drawn, dead
 
 
 def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
@@ -337,22 +331,25 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
         return tag, recs, time.perf_counter() - t0
 
     sim_seconds = float("nan")
+    outstanding, dead = [], True
     if history_in:
-        # One uniform row was drawn for every point the prior run
-        # generated; burning the same count realigns the stream.
-        ctx.rng.uniform(lb, ub, (len(history_in), n))
-        outstanding = learner.replay(history_in, batch_size)
-        if outstanding:
-            t0 = time.perf_counter()
-            tag, received = ctx.recv()
-            sim_seconds = time.perf_counter() - t0
-            need_ingest = True
-        else:
-            tag, received, need_ingest = None, [], False
-    else:
+        outstanding, drawn, dead = learner.replay(history_in, batch_size,
+                                                  random_mode)
+        # Burning the rows the prior run drew realigns the stream.
+        ctx.rng.uniform(lb, ub, (drawn, n))
+    if outstanding:
+        t0 = time.perf_counter()
+        tag, received = ctx.recv()
+        sim_seconds = time.perf_counter() - t0
+        need_ingest = True
+    elif dead:
+        # A fresh run bootstraps; a resumed one whose last batch all died
+        # re-probes, as the prior run would have.
         tag, received, sim_seconds = dispatch(
             initial_sample(lb, ub, batch_size, ctx.rng))
         need_ingest = True
+    else:
+        tag, received, need_ingest = None, [], False
 
     while True:
         if need_ingest:

@@ -588,13 +588,6 @@ def _build_assignment(
     )
 
 
-def release(rsets: Sequence[ResourceSet], assignment: Assignment) -> None:
-    for rid in assignment.rset_ids:
-        if rsets[rid].free:
-            raise ResourceError(f"double release of resource set {rid}")
-        rsets[rid].free = True
-
-
 class ResourcePool:
     """Mutable scheduling state the manager holds for one run."""
 
@@ -635,7 +628,10 @@ class ResourcePool:
         raise InsufficientResources("all resource sets are busy")
 
     def release(self, assignment: Assignment) -> None:
-        release(self.rsets, assignment)
+        for rid in assignment.rset_ids:
+            if self.rsets[rid].free:
+                raise ResourceError(f"double release of resource set {rid}")
+            self.rsets[rid].free = True
 
     def free_count(self) -> int:
         return sum(1 for r in self.rsets if r.free)

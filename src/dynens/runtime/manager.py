@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 
 RECV_TIMEOUT = 0.25
 DUMP_EVERY = 50
+SHUTDOWN_TIMEOUT = 10.0
 HISTORY_FILENAME = "history.tsv"
 
 
@@ -70,7 +71,6 @@ class RunConfig:
     dedicated_gen: bool = True
     sim_error: str = "nan"
     dump_every: int = DUMP_EVERY
-    shutdown_timeout: float = 10.0
     dry_run: bool = False
 
     def __post_init__(self):
@@ -315,7 +315,6 @@ class _Manager:
             records = [self.history.get(sid).copy()
                        for sid in action.record_ids]
             state.status = WorkerStatus.BUSY_SIM
-            state.active_ids = tuple(action.record_ids)
             if action.assignment is not None:
                 self.assignments[action.target_worker] = action.assignment
             for sid in action.record_ids:
@@ -325,7 +324,6 @@ class _Manager:
             records = [r.copy() for r in self.history]
             state.status = (WorkerStatus.PERSISTENT_GEN if action.persistent
                             else WorkerStatus.BUSY_GEN)
-            state.active_ids = ()
         self.channels[action.target_worker].inbox.put(WorkMsg(action, records))
 
     def _receive(self) -> None:
@@ -349,10 +347,8 @@ class _Manager:
         elif isinstance(msg, GenDone):
             self.gen_done = True
             self.states[msg.worker_id].status = WorkerStatus.IDLE
-            self.states[msg.worker_id].active_ids = ()
         elif isinstance(msg, WorkerCrash):
             self.states[msg.worker_id].status = WorkerStatus.IDLE
-            self.states[msg.worker_id].active_ids = ()
             if post_exit:
                 log.warning("worker %d crashed during shutdown:\n%s",
                             msg.worker_id, msg.traceback_text)
@@ -378,7 +374,6 @@ class _Manager:
         if assignment is not None and self.pool is not None:
             self.pool.release(assignment)
         state.status = WorkerStatus.IDLE
-        state.active_ids = ()
         if msg.error is not None:
             if self.config.sim_error == "abort" and not post_exit:
                 raise EnsembleError(
@@ -393,7 +388,6 @@ class _Manager:
         state = self.states[msg.worker_id]
         if state.status is WorkerStatus.BUSY_GEN:
             state.status = WorkerStatus.IDLE
-            state.active_ids = ()
         if post_exit:
             # The run is over; a batch that raced the stop is dropped.
             log.debug("dropping post-exit batch from worker %d", msg.worker_id)
@@ -459,7 +453,7 @@ class _Manager:
             chan.inbox.put(StopMsg())
 
         # Late results still land in the history; late batches do not.
-        deadline = time.monotonic() + self.config.shutdown_timeout
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT
         while any(s.status is not WorkerStatus.IDLE
                   for s in self.states.values()):
             remaining = deadline - time.monotonic()

@@ -21,7 +21,6 @@ class Tag(IntEnum):
     PERSIS_STOP = 4
     FINISHED_PERSISTENT_GEN = 5
     RESULT = 6
-    KILL = 7
 
 
 STOP_TAGS = (Tag.STOP, Tag.PERSIS_STOP)
@@ -40,7 +39,6 @@ class WorkerState:
 
     worker_id: int
     status: WorkerStatus = WorkerStatus.IDLE
-    active_ids: tuple[int, ...] = ()
 
     @property
     def idle(self) -> bool:
@@ -93,7 +91,6 @@ class ResultsMsg:
     """Completed records forwarded to a persistent generator."""
 
     records: list[EnsembleRecord] = field(default_factory=list)
-    tag: Tag = Tag.RESULT
 
 
 @dataclass
@@ -104,7 +101,6 @@ class StopMsg:
 @dataclass
 class KillMsg:
     sim_ids: tuple[int, ...] = ()
-    tag: Tag = Tag.KILL
 
 
 # -- worker -> manager ---------------------------------------------------
@@ -138,5 +134,4 @@ class GenDone:
 class WorkerCrash:
     worker_id: int
     where: str  # "sim" or "gen"
-    sim_ids: tuple[int, ...]
     traceback_text: str

@@ -129,16 +129,16 @@ class PersistentGenContext:
         self.rng = worker_ctx.rng
         self.ensemble_dir = worker_ctx.ensemble_dir
 
-    def send(self, points, cancel_ids=()) -> None:
-        self._results.put(GenBatch(self.worker_id, list(points),
-                                   tuple(cancel_ids)))
+    def send(self, points) -> None:
+        """Hand new points to the manager; request_cancel withdraws old ones."""
+        self._results.put(GenBatch(self.worker_id, list(points)))
 
     def recv(self) -> tuple[Tag, list]:
         msg = self._inbox.get()
         if isinstance(msg, StopMsg):
             return msg.tag, []
         if isinstance(msg, ResultsMsg):
-            return msg.tag, msg.records
+            return Tag.RESULT, msg.records
         raise ProtocolError(
             f"unexpected message for a persistent generator: {msg!r}")
 
@@ -181,7 +181,7 @@ def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, results_q, gen_fn) -> None
         try:
             gen_fn(msg.records, ctx.config.gen_params, pctx)
         except Exception:
-            results_q.put(WorkerCrash(ctx.worker_id, "gen", (),
+            results_q.put(WorkerCrash(ctx.worker_id, "gen",
                                       traceback.format_exc()))
             return
         results_q.put(GenDone(ctx.worker_id))
@@ -189,7 +189,7 @@ def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, results_q, gen_fn) -> None
         try:
             points = gen_fn(msg.records, ctx.config.gen_params, ctx)
         except Exception:
-            results_q.put(WorkerCrash(ctx.worker_id, "gen", (),
+            results_q.put(WorkerCrash(ctx.worker_id, "gen",
                                       traceback.format_exc()))
             return
         results_q.put(GenBatch(ctx.worker_id, list(points)))

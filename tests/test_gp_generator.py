@@ -3,6 +3,7 @@ reference, training-effort branches, and the full loop over a loopback
 context."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -244,9 +245,9 @@ def test_selection_defaults_from_bounds():
     assert sel.r_decay == 0.5
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_select_matches_reference_on_random_instances(seed):
-    rng = np.random.default_rng(seed)
+def small_select_instance(rng):
+    """Up to 3-D grids of up to 4 points per axis, a batch of at most 5,
+    and up to 2 excluded grid points."""
     n = int(rng.integers(1, 4))
     ppd = int(rng.integers(2, 5))
     grid = CandidateGrid.build(np.zeros(n), np.ones(n), ppd)
@@ -259,10 +260,37 @@ def test_select_matches_reference_on_random_instances(seed):
     b = int(rng.integers(1, min(5, len(grid.points) - n_excl) + 1))
     p = params_for(b, r_init=float(rng.uniform(0.2, 2.0)),
                    r_min=1e-3, r_decay=0.5)
+    return grid, variances, exclude, p
+
+
+def large_select_instance(rng):
+    """gp_active's size: a 3-D grid of 8 points per axis, a batch of 16,
+    and up to 240 excluded points mixing exact grid points with off-grid
+    ones; variances are rounded to force ties."""
+    grid = CandidateGrid.build(np.zeros(3), np.ones(3), 8)
+    variances = np.round(rng.uniform(0, 1, len(grid.points)), 2)
+    n_excl = int(rng.integers(1, 241))
+    n_on = int(rng.integers(0, n_excl + 1))
+    exclude = (list(grid.points[rng.choice(len(grid.points), n_on,
+                                           replace=False)])
+               + list(rng.uniform(0, 1, (n_excl - n_on, 3))))
+    # r_min above the grid spacing (1/7) ends some runs in a rank fill.
+    p = params_for(16, r_init=float(rng.uniform(0.35, 1.0)),
+                   r_min=float(rng.choice([1e-3, 0.1, 0.2])))
+    return grid, variances, exclude, p
+
+
+@pytest.mark.parametrize("seed,make", (
+    [pytest.param(seed, small_select_instance, id=str(seed))
+     for seed in range(40)]
+    + [pytest.param(seed, large_select_instance, id=f"large-{seed}")
+       for seed in range(20)]))
+def test_select_matches_reference_on_random_instances(seed, make):
+    grid, variances, exclude, p = make(np.random.default_rng(seed))
     got_idx, got_trace = select_batch(grid, variances, p, exclude=exclude)
-    want_idx, want_trace = reference_select(grid.points, variances, b,
-                                            p.r_initial, p.r_decay, p.r_min,
-                                            exclude)
+    want_idx, want_trace = reference_select(grid.points, variances,
+                                            p.batch_size, p.r_initial,
+                                            p.r_decay, p.r_min, exclude)
     assert got_idx == want_idx
     assert got_trace == pytest.approx(want_trace)
 
@@ -443,15 +471,39 @@ def test_loop_deterministic_under_seed():
         assert ra.f == rb.f
 
 
-@pytest.mark.parametrize("random_mode", [False, True])
-def test_loop_restart_matches_uninterrupted(random_mode):
-    params = loop_params(random_mode=random_mode)
-    full, _ = run_loop(bowl, seed=17, n_batches=10, params=params)
+def bowl_with_dead_batch(dead, first_sim=0):
+    """bowl, except that every point of the 1-based batch `dead` (of 8)
+    comes back NaN; `first_sim` is the sim id of the first call."""
+    if dead is None:
+        return bowl
+    sim_ids = itertools.count(first_sim)
 
-    first, _ = run_loop(bowl, seed=17, n_batches=6, params=params)
+    def func(x):
+        return math.nan if next(sim_ids) // 8 == dead - 1 else bowl(x)
+
+    return func
+
+
+# A dead batch is followed by a uniform re-probe: dead=8 lies after the
+# restart, dead=6 is the last batch before it.
+@pytest.mark.parametrize("random_mode,dead", [
+    pytest.param(False, None, id="False"),
+    pytest.param(True, None, id="True"),
+    pytest.param(False, 8, id="False-dead8"),
+    pytest.param(False, 6, id="False-dead6"),
+    pytest.param(True, 8, id="True-dead8"),
+    pytest.param(True, 6, id="True-dead6"),
+])
+def test_loop_restart_matches_uninterrupted(random_mode, dead):
+    params = loop_params(random_mode=random_mode)
+    full, _ = run_loop(bowl_with_dead_batch(dead), seed=17, n_batches=10,
+                       params=params)
+
+    first, _ = run_loop(bowl_with_dead_batch(dead), seed=17, n_batches=6,
+                        params=params)
     assert len(first.records) == 48
-    resumed = LoopbackContext(bowl, seed=17, n_batches=4,
-                              preload=first.records)
+    resumed = LoopbackContext(bowl_with_dead_batch(dead, first_sim=48),
+                              seed=17, n_batches=4, preload=first.records)
     tag = gp_gen_loop([r.copy() for r in first.records], params, resumed)
     assert tag == Tag.FINISHED_PERSISTENT_GEN
 
@@ -459,7 +511,7 @@ def test_loop_restart_matches_uninterrupted(random_mode):
     for ra, rb in zip(full.records, resumed.records):
         assert ra.sim_id == rb.sim_id
         np.testing.assert_array_equal(ra.x, rb.x)
-        assert ra.f == rb.f
+        assert ra.f == rb.f or (math.isnan(ra.f) and math.isnan(rb.f))
 
 
 def test_loop_restart_with_outstanding_batch():

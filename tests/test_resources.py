@@ -21,7 +21,6 @@ from dynens.resources import (
     detect_platform,
     load_inventory_file,
     parse_node_list,
-    release,
     schedule,
 )
 import scheduler_oracle
