@@ -182,10 +182,10 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
 
 
 def metrics(model: GaussianProcess, test_set,
-            grid: CandidateGrid) -> tuple[float, float, float]:
-    """(test MSE, mean grid variance, max grid variance); test MSE is NaN
-    when no test set is configured."""
-    _, var = model.posterior(grid.points)
+            grid_variances: np.ndarray) -> tuple[float, float, float]:
+    """(test MSE, mean grid variance, max grid variance) from the model's
+    posterior variances on the candidate grid, which selection has
+    already computed; test MSE is NaN when no test set is configured."""
     if test_set is None:
         mse = float("nan")
     else:
@@ -195,7 +195,7 @@ def metrics(model: GaussianProcess, test_set,
             raise GeneratorError("empty test set")
         mean, _ = model.posterior(X_t)
         mse = float(np.mean((mean - y_t) ** 2))
-    return mse, float(np.mean(var)), float(np.max(var))
+    return mse, float(np.mean(grid_variances)), float(np.max(grid_variances))
 
 
 # -- the persistent loop -------------------------------------------------
@@ -368,8 +368,11 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
             outcome = None
         need_ingest = True
 
+        log_row = bool(metrics_path) and outcome is not None
         t0 = time.perf_counter()
-        _, variances = learner.model.posterior(grid.points)
+        variances = None
+        if log_row or not random_mode:
+            _, variances = learner.model.posterior(grid.points)
         if random_mode:
             batch = ctx.rng.uniform(lb, ub, (batch_size, n))
         else:
@@ -378,10 +381,10 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
             batch = grid.points[indices]
         select_seconds = time.perf_counter() - t0
 
-        if metrics_path and outcome is not None:
+        if log_row:
             rmse_batch, method, train_seconds = outcome
             mse_test, mean_var, max_var = metrics(learner.model, test_set,
-                                                  grid)
+                                                  variances)
             _append_metrics_row(metrics_path, (
                 learner.iteration, learner.model.n_train, rmse_batch,
                 method.name, train_seconds,

@@ -4,6 +4,11 @@ Every proposed point becomes one record with a dense, append-ordered sim_id.
 Flags only ever go False -> True; timestamps are seconds since the run started.
 The on-disk format is a tab-separated table plus a small JSON sidecar, built to
 be greppable mid-run and to round-trip exactly.
+
+Records change only through History's write methods and its append entry
+point, which keep the running indexes (returned count, best f, pending ids)
+and the cached dump rows current; setting a record's field directly leaves
+them stale.
 """
 
 from __future__ import annotations
@@ -90,6 +95,23 @@ class EnsembleRecord:
         return replace(self, x=self.x.copy())
 
 
+def _format_row(rec: EnsembleRecord) -> str:
+    """One record as its dump line, without the newline."""
+    row = [str(rec.sim_id)]
+    row += [repr(float(v)) for v in rec.x]
+    for col in _SCALAR_COLS:
+        v = getattr(rec, col)
+        if v is None:
+            row.append("-")
+        elif isinstance(v, bool):
+            row.append("1" if v else "0")
+        elif isinstance(v, float):
+            row.append(repr(v))
+        else:
+            row.append(str(v))
+    return "\t".join(row)
+
+
 def records_equal(a: EnsembleRecord, b: EnsembleRecord, include_times: bool = False) -> bool:
     """Field-wise equality; NaN f compares equal to NaN f.
 
@@ -121,6 +143,12 @@ class History:
         self.n_dims = n_dims
         self.start_time = time.time() if start_time is None else start_time
         self.records: list[EnsembleRecord] = []
+        # Indexes kept by the write methods, so no query scans the table.
+        self._returned = 0
+        self._best_f = math.nan
+        self._pending: set[int] = set()
+        # Dump line per record; None until formatted or after a change.
+        self._rows: list[str | None] = []
 
     def __len__(self) -> int:
         return len(self.records)
@@ -158,9 +186,29 @@ class History:
                 num_gpus=int(p.num_gpus),
                 gen_worker=gen_worker,
             )
-            self.records.append(rec)
+            self.append(rec)
             ids.append(rec.sim_id)
         return ids
+
+    def append(self, rec: EnsembleRecord) -> None:
+        """Append an existing record (not copied) as the next sim_id."""
+        if rec.sim_id != len(self.records):
+            raise HistoryError(
+                f"appended sim_id {rec.sim_id} != next id {len(self.records)}")
+        if rec.x.shape != (self.n_dims,):
+            raise HistoryError(
+                f"appended x has shape {rec.x.shape}, expected ({self.n_dims},)")
+        self.records.append(rec)
+        self._rows.append(None)
+        if rec.returned:
+            self._returned += 1
+            self._note_f(rec.f)
+        if not rec.given and not rec.cancel_requested:
+            self._pending.add(rec.sim_id)
+
+    def _note_f(self, f: float) -> None:
+        if not math.isnan(f) and (math.isnan(self._best_f) or f < self._best_f):
+            self._best_f = f
 
     def mark_given(self, sim_ids: Iterable[int], sim_worker: int, given_time: float) -> None:
         for sid in sim_ids:
@@ -170,6 +218,8 @@ class History:
             rec.given = True
             rec.sim_worker = sim_worker
             rec.given_time = given_time
+            self._pending.discard(sid)
+            self._rows[sid] = None
 
     def update_with_results(self, results: Iterable[tuple[int, float]], returned_time: float) -> None:
         """Record f for sim_ids that were given and have not yet returned."""
@@ -182,6 +232,9 @@ class History:
             rec.f = float(fval)
             rec.returned = True
             rec.returned_time = returned_time
+            self._returned += 1
+            self._note_f(rec.f)
+            self._rows[sid] = None
 
     def mark_cancel(self, sim_ids: Iterable[int]) -> list[int]:
         """Set cancel_requested; returns the subset currently running.
@@ -193,6 +246,8 @@ class History:
         for sid in sim_ids:
             rec = self.get(sid)
             rec.cancel_requested = True
+            self._pending.discard(sid)
+            self._rows[sid] = None
             if rec.given and not rec.returned:
                 running.append(sid)
         return running
@@ -203,18 +258,24 @@ class History:
             if not rec.cancel_requested:
                 raise HistoryError(f"kill_sent without cancel_requested on sim_id {sid}")
             rec.kill_sent = True
+            self._rows[sid] = None
 
     # -- queries ---------------------------------------------------------
 
     def pending_sims(self) -> list[EnsembleRecord]:
         """Dispatchable records: not given, not cancelled; highest priority
         first, ties by lowest sim_id."""
-        pend = [r for r in self.records if not r.given and not r.cancel_requested]
+        # Sorted on each read: priorities may be edited in place.
+        pend = [self.records[sid] for sid in self._pending]
         pend.sort(key=lambda r: (-r.priority, r.sim_id))
         return pend
 
     def returned_count(self) -> int:
-        return sum(1 for r in self.records if r.returned)
+        return self._returned
+
+    def best_f(self) -> float:
+        """Smallest non-NaN f among returned records; NaN when none."""
+        return self._best_f
 
     # -- persistence -----------------------------------------------------
 
@@ -225,37 +286,22 @@ class History:
         """Write the table to path and metadata to path + '.meta.json'.
 
         Floats are repr'd (exact round-trip), NaN is spelled 'nan', absent
-        values are '-'. The write is staged through a temp file then renamed.
+        values are '-'. Each file is staged through a temp file then renamed.
+        Only rows changed since the last dump are formatted again.
         """
         path = os.fspath(path)
-        lines = ["\t".join(self._header())]
-        for rec in self.records:
-            row = [str(rec.sim_id)]
-            row += [repr(float(v)) for v in rec.x]
-            for col in _SCALAR_COLS:
-                v = getattr(rec, col)
-                if v is None:
-                    row.append("-")
-                elif isinstance(v, bool):
-                    row.append("1" if v else "0")
-                elif isinstance(v, float):
-                    row.append(repr(v))
-                else:
-                    row.append(str(v))
-            lines.append("\t".join(row))
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        rows = self._rows
+        for sid, row in enumerate(rows):
+            if row is None:
+                rows[sid] = _format_row(self.records[sid])
+        _write_replace(path, "\n".join(["\t".join(self._header()), *rows]) + "\n")
         meta = {
             "format_version": FORMAT_VERSION,
             "n": self.n_dims,
             "num_records": len(self.records),
             "start_time": self.start_time,
         }
-        with open(path + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=1)
-            fh.write("\n")
+        _write_replace(path + ".meta.json", json.dumps(meta, indent=1) + "\n")
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "History":
@@ -263,15 +309,20 @@ class History:
         meta_path = path + ".meta.json"
         if not os.path.exists(meta_path):
             raise HistoryFormatError(f"missing metadata sidecar {meta_path}")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        version = meta.get("format_version")
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            version = meta.get("format_version")
+            n_dims = int(meta["n"])
+            start_time = float(meta["start_time"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise HistoryFormatError(
+                f"unreadable metadata sidecar {meta_path}: {exc!r}") from exc
         if version != FORMAT_VERSION:
             raise HistoryFormatError(
                 f"format version {version!r} not supported (expected {FORMAT_VERSION})"
             )
-        n_dims = int(meta["n"])
-        hist = cls(n_dims, start_time=float(meta["start_time"]))
+        hist = cls(n_dims, start_time=start_time)
 
         with open(path) as fh:
             raw_lines = fh.read().splitlines()
@@ -301,7 +352,7 @@ class History:
                     f"sim_id {rec.sim_id} out of order (expected {len(hist.records)})",
                     line=lineno,
                 )
-            hist.records.append(rec)
+            hist.append(rec)
         if len(hist.records) != meta.get("num_records"):
             raise HistoryFormatError(
                 f"metadata says {meta.get('num_records')} records, file has {len(hist.records)}"
@@ -340,6 +391,15 @@ class History:
             given_time=opt_float(rest["given_time"]),
             returned_time=opt_float(rest["returned_time"]),
         )
+
+
+def _write_replace(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename, so a reader
+    sees the old file or the new one, never a torn one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def histories_equal(a: History, b: History, include_times: bool = False) -> bool:

@@ -100,7 +100,9 @@ class PersistentAlloc:
     Forwarding state lives here: `forwarded` holds ids already routed to
     the generator. Seeding it with the returned ids of a prior history
     matches a restarted generator, which replays those records itself and
-    awaits only the in-flight remainder.
+    awaits only the in-flight remainder. A scan cursor and the list of the
+    generator's ids not yet forwarded let each call look only at records
+    added since the last one.
     """
 
     gen_worker: int = 1
@@ -108,6 +110,8 @@ class PersistentAlloc:
     started: bool = False
     forwarded: set = field(default_factory=set)
     _warned: set = field(default_factory=set)
+    _scanned: int = 0
+    _outstanding: list = field(default_factory=list)
 
     @classmethod
     def resuming(cls, prior_records, gen_worker: int = 1, async_mode=False):
@@ -128,17 +132,22 @@ class PersistentAlloc:
         elif state is not None and state.status is WorkerStatus.PERSISTENT_GEN:
             # A finished generator drops its worker back to idle, which
             # ends forwarding without any extra bookkeeping here.
-            outstanding = [sid for sid in view.gen_record_ids(self.gen_worker)
-                           if sid not in self.forwarded]
+            new_ids = view.gen_record_ids(self.gen_worker, start=self._scanned)
+            self._scanned = len(view)
+            outstanding = self._outstanding
+            outstanding += [sid for sid in new_ids if sid not in self.forwarded]
+            # Ids arrive in sim_id order, so every list here stays sorted.
             returned = [sid for sid in outstanding if view.is_returned(sid)]
             if self.async_mode:
-                ready = sorted(returned)
+                ready = returned
             elif outstanding and len(returned) == len(outstanding):
-                ready = sorted(outstanding)
+                ready = outstanding
             else:
                 ready = []
             if ready:
                 self.forwarded.update(ready)
+                self._outstanding = [sid for sid in outstanding
+                                     if sid not in self.forwarded]
                 actions.append(Forward(self.gen_worker, tuple(ready)))
         _assign_sims(view, workers, pool, actions,
                      skip_worker=self.gen_worker, warned=self._warned)

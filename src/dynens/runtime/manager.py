@@ -101,8 +101,9 @@ class HistoryView:
     def is_returned(self, sim_id: int) -> bool:
         return self._h.get(sim_id).returned
 
-    def gen_record_ids(self, worker: int) -> list[int]:
-        return [r.sim_id for r in self._h if r.gen_worker == worker]
+    def gen_record_ids(self, worker: int, start: int = 0) -> list[int]:
+        """Ids of the records from sim_id `start` on that `worker` generated."""
+        return [r.sim_id for r in self._h.records[start:] if r.gen_worker == worker]
 
 
 def check_exit(history: History, elapsed: float,
@@ -119,11 +120,8 @@ def check_exit(history: History, elapsed: float,
         return "gen_max"
     if criteria.wallclock_max is not None and elapsed >= criteria.wallclock_max:
         return "wallclock_max"
-    if criteria.stop_val is not None:
-        _, threshold = criteria.stop_val
-        for rec in history:
-            if rec.returned and rec.f <= threshold:
-                return "stop_val"
+    if criteria.stop_val is not None and history.best_f() <= criteria.stop_val[1]:
+        return "stop_val"
     return None
 
 
@@ -246,7 +244,7 @@ class _Manager:
                 r.given = False
                 r.sim_worker = None
                 r.given_time = None
-            self.history.records.append(r)
+            self.history.append(r)
             self.trace.append(("adopt", r.sim_id, r.returned))
 
     def _start_workers(self) -> None:

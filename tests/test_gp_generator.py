@@ -320,7 +320,7 @@ def test_metrics_perfect_predictions():
     y = np.array([1.0, 2.0, 0.5])
     model.tell(X, y)
     grid = CandidateGrid.build([0.0], [1.0], 5)
-    mse, mean_var, max_var = metrics(model, (X, y), grid)
+    mse, mean_var, max_var = metrics(model, (X, y), model.posterior(grid.points)[1])
     assert mse < 1e-10
     assert mean_var <= max_var
 
@@ -329,7 +329,7 @@ def test_metrics_without_test_set_is_nan():
     model = GaussianProcess(1)
     model.tell([[0.0]], [1.0])
     grid = CandidateGrid.build([0.0], [1.0], 5)
-    mse, _, _ = metrics(model, None, grid)
+    mse, _, _ = metrics(model, None, model.posterior(grid.points)[1])
     assert math.isnan(mse)
 
 
@@ -340,9 +340,9 @@ def test_metrics_recompute_from_posterior():
     grid = CandidateGrid.build([0.0, 0.0], [1.0, 1.0], 4)
     X_t = rng.uniform(0, 1, (6, 2))
     y_t = rng.normal(size=6)
-    mse, mean_var, max_var = metrics(model, (X_t, y_t), grid)
-    mean_pred, _ = model.posterior(X_t)
     _, grid_var = model.posterior(grid.points)
+    mse, mean_var, max_var = metrics(model, (X_t, y_t), grid_var)
+    mean_pred, _ = model.posterior(X_t)
     assert mse == pytest.approx(float(np.mean((mean_pred - y_t) ** 2)))
     assert mean_var == pytest.approx(float(np.mean(grid_var)))
     assert max_var == pytest.approx(float(np.max(grid_var)))
@@ -353,7 +353,8 @@ def test_metrics_empty_test_set_rejected():
     model.tell([[0.0]], [1.0])
     grid = CandidateGrid.build([0.0], [1.0], 5)
     with pytest.raises(GeneratorError, match="empty test set"):
-        metrics(model, (np.empty((0, 1)), np.empty(0)), grid)
+        metrics(model, (np.empty((0, 1)), np.empty(0)),
+                model.posterior(grid.points)[1])
 
 
 # -- the full loop ------------------------------------------------------
@@ -397,6 +398,34 @@ def test_loop_metrics_file(tmp_path):
         assert float(row["mse_test"]) >= 0.0
         for col in ("train_seconds", "select_seconds", "sim_seconds"):
             assert float(row[col]) >= 0.0
+
+
+@pytest.mark.parametrize("random_mode,with_metrics,expected", [
+    (False, True, 6), (False, False, 6), (True, True, 6), (True, False, 0)])
+def test_loop_one_grid_posterior_per_iteration(tmp_path, monkeypatch,
+                                               random_mode, with_metrics,
+                                               expected):
+    # gp_active's size: 3-D, 8 points per dimension, batches of 16.
+    grid_size = 8 ** 3
+    sizes = []
+    real_posterior = GaussianProcess.posterior
+
+    def counting_posterior(self, Xq):
+        sizes.append(len(np.atleast_2d(Xq)))
+        return real_posterior(self, Xq)
+
+    monkeypatch.setattr(GaussianProcess, "posterior", counting_posterior)
+    params = {"lb": [0.0] * 3, "ub": [1.0] * 3, "batch_size": 16,
+              "points_per_dim": 8, "random_mode": random_mode}
+    if with_metrics:
+        test_X = np.random.default_rng(1).uniform(0, 1, (20, 3))
+        params.update(metrics_path=str(tmp_path / "metrics.csv"),
+                      test_X=test_X, test_y=[bowl(x) for x in test_X])
+    run_loop(bowl, seed=3, n_batches=6, params=params)
+    assert sizes.count(grid_size) == expected
+    if with_metrics:
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 6
 
 
 def test_loop_selected_points_lie_on_grid():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynens.history
 from dynens.history import (
     EnsembleRecord,
     GenPoint,
@@ -16,6 +17,8 @@ from dynens.history import (
     histories_equal,
     records_equal,
 )
+from dynens.runtime import ExitCriteria, RunConfig
+from dynens.runtime.manager import _Manager
 
 
 def make_history(n_points=5, n_dims=2, seed=0):
@@ -193,6 +196,104 @@ class TestFlagMonotonicity:
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def adopt(h: History) -> History:
+    """The history a manager builds when it resumes h as H0."""
+    config = RunConfig(n_dims=h.n_dims, nworkers=1,
+                       exit_criteria=ExitCriteria(sim_max=1))
+    return _Manager(config, None, None, None, h, None).history
+
+
+index_ops = st.one_of(
+    st.tuples(st.just("submit"), st.integers(1, 4), st.sampled_from([0.0, 1.0, 2.0])),
+    st.tuples(st.sampled_from(["given", "cancel", "kill"]), st.integers(0, 40)),
+    st.tuples(st.just("result"), st.integers(0, 40),
+              st.one_of(st.just(math.nan), st.floats(-5, 5))),
+    st.tuples(st.sampled_from(["dump", "adopt", "load"])),
+)
+
+
+class TestIndexes:
+    """The running indexes and cached dump rows against from-scratch scans."""
+
+    @given(st.lists(index_ops, max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_indexes_match_scans(self, ops):
+        import os, tempfile
+        h = History(2, start_time=5.5)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "h.tsv")
+            for op in ops:
+                sid = op[1] % len(h) if len(op) > 1 and len(h) else 0
+                try:
+                    if op[0] == "submit":
+                        h.submit_points([GenPoint(x=[float(k), 0.5], priority=op[2])
+                                         for k in range(op[1])], gen_worker=1)
+                    elif op[0] == "given":
+                        h.mark_given([sid], sim_worker=2, given_time=0.25)
+                    elif op[0] == "result":
+                        h.update_with_results([(sid, op[2])], returned_time=0.75)
+                    elif op[0] == "cancel":
+                        h.mark_cancel([sid])
+                    elif op[0] == "kill":
+                        h.mark_kill_sent([sid])
+                    elif op[0] == "dump":
+                        h.dump(path)
+                    elif op[0] == "adopt":
+                        h = adopt(h)
+                    else:
+                        h.dump(path)
+                        h = History.load(path)
+                except HistoryError:
+                    pass
+            assert h.returned_count() == sum(1 for r in h.records if r.returned)
+            pending = [r for r in h.records if not r.given and not r.cancel_requested]
+            pending.sort(key=lambda r: (-r.priority, r.sim_id))
+            assert [r.sim_id for r in h.pending_sims()] == [r.sim_id for r in pending]
+            finite = [r.f for r in h.records if r.returned and not math.isnan(r.f)]
+            if finite:
+                assert h.best_f() == min(finite)
+            else:
+                assert math.isnan(h.best_f())
+
+            h.dump(path)
+            with open(path) as fh:
+                dumped = fh.read()
+            header = "\t".join(h._header())
+            fresh = [dynens.history._format_row(r) for r in h.records]
+            assert dumped == "\n".join([header, *fresh]) + "\n"
+            again = os.path.join(d, "again.tsv")
+            History.load(path).dump(again)
+            with open(again) as fh:
+                assert fh.read() == dumped
+
+    def test_cancel_of_returned_record_after_dump_reaches_next_dump(self, tmp_path):
+        h = make_history(2)
+        h.mark_given([0], sim_worker=2, given_time=0.5)
+        h.update_with_results([(0, 1.5)], returned_time=1.0)
+        p = tmp_path / "h.tsv"
+        h.dump(p)
+        h.mark_cancel([0])
+        h.dump(p)
+        assert History.load(p).get(0).cancel_requested
+
+    def test_adopted_interrupted_record_is_pending_again(self):
+        h = make_history(3)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.5)
+        h.update_with_results([(0, 2.0)], returned_time=1.0)
+        resumed = adopt(h)
+        assert [r.sim_id for r in resumed.pending_sims()] == sorted(
+            [1, 2], key=lambda i: (-h.get(i).priority, i))
+        assert resumed.returned_count() == 1 and resumed.best_f() == 2.0
+
+    def test_append_requires_next_id(self):
+        h = make_history(2)
+        with pytest.raises(HistoryError, match="next id 2"):
+            h.append(EnsembleRecord(sim_id=5, x=np.zeros(2)))
+        with pytest.raises(HistoryError, match="shape"):
+            h.append(EnsembleRecord(sim_id=2, x=np.zeros(3)))
+        assert len(h) == 2
+
+
 class TestPersistence:
     @given(st.lists(st.tuples(floats, floats,
                               st.one_of(st.just(math.nan), floats),
@@ -278,6 +379,38 @@ class TestPersistence:
         (tmp_path / "h.tsv.meta.json").unlink()
         with pytest.raises(HistoryFormatError, match="sidecar"):
             History.load(p)
+
+    @pytest.mark.parametrize("text", ['{"format_version": 1, "n"', "", "[1, 2]",
+                                      '{"format_version": 1}'])
+    def test_unparsable_sidecar_rejected(self, tmp_path, text):
+        h = make_history(1)
+        p = tmp_path / "h.tsv"
+        h.dump(p)
+        (tmp_path / "h.tsv.meta.json").write_text(text)
+        with pytest.raises(HistoryFormatError, match="sidecar"):
+            History.load(p)
+
+    def test_sidecar_replaced_whole(self, tmp_path, monkeypatch):
+        # A dump that dies before the sidecar's rename leaves the old
+        # sidecar whole, never a truncated one.
+        import json, os
+        h = make_history(1)
+        p = tmp_path / "h.tsv"
+        h.dump(p)
+        old_meta = (tmp_path / "h.tsv.meta.json").read_text()
+        real_replace = os.replace
+
+        def dying_replace(src, dst):
+            if str(dst).endswith(".meta.json"):
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        h.submit_points([GenPoint(x=[0.0, 0.0])], gen_worker=1)
+        with pytest.raises(OSError, match="simulated crash"):
+            h.dump(p)
+        assert (tmp_path / "h.tsv.meta.json").read_text() == old_meta
+        assert json.loads(old_meta)["num_records"] == 1
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json

@@ -381,6 +381,26 @@ class TestCheckExit:
         h.update_with_results([(0, float("nan"))], returned_time=0.0)
         assert check_exit(h, 0.0, ExitCriteria(stop_val=("f", 0.01))) is None
 
+    def test_stop_val_fires_at_or_below_threshold(self):
+        h = make_history(points=3)
+        h.mark_given([0, 1, 2], sim_worker=2, given_time=0.0)
+        crit = ExitCriteria(stop_val=("f", 0.25))
+        h.update_with_results([(0, 0.5)], returned_time=0.0)
+        assert check_exit(h, 0.0, crit) is None
+        h.update_with_results([(1, 0.25)], returned_time=0.0)
+        assert check_exit(h, 0.0, crit) == "stop_val"
+        # A later, larger value leaves the best one in place.
+        h.update_with_results([(2, 0.75)], returned_time=0.0)
+        assert check_exit(h, 0.0, crit) == "stop_val"
+
+    def test_stop_val_never_fires_on_nan(self):
+        crit = ExitCriteria(stop_val=("f", math.inf))
+        h = make_history(points=2)
+        assert check_exit(h, 0.0, crit) is None
+        h.mark_given([0, 1], sim_worker=2, given_time=0.0)
+        h.update_with_results([(0, math.nan), (1, math.nan)], returned_time=0.0)
+        assert check_exit(h, 0.0, crit) is None
+
     def test_criteria_need_at_least_one(self):
         with pytest.raises(ValueError):
             ExitCriteria()
@@ -712,6 +732,87 @@ class TestRunEnsemble:
             assert rec.returned and rec.sim_worker is not None
             assert rec.f == pytest.approx(np.linalg.norm(rec.x))
         validate_trace(trace)
+
+    def test_stop_val_in_H0_fires_at_first_check(self, tmp_path):
+        H0 = make_history(points=4)
+        H0.mark_given([0, 1], sim_worker=2, given_time=0.0)
+        H0.update_with_results([(0, 0.9), (1, 0.1)], returned_time=0.0)
+        trace = []
+        cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX),
+                      exit_criteria=ExitCriteria(stop_val=("f", 0.1)))
+        hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  H0=H0, trace=trace)
+        assert flag == "stop_val"
+        assert [ev[0] for ev in trace] == ["adopt"] * 4 + ["stop"]
+        assert len(hist) == 4 and hist.returned_count() == 2
+
+    def test_resumed_run_stays_linear_in_history_size(self, tmp_path,
+                                                       monkeypatch):
+        """Counts, not timings: on a 2000-record resume each dump formats
+        only the rows that changed since the one before, and the allocator
+        reads each record's gen_worker at most once."""
+        import dynens.history
+
+        rng = np.random.default_rng(3)
+        H0 = History(2, start_time=0.0)
+        X = rng.uniform(0.0, 1.0, (2000, 2))
+        for start in range(0, 2000, 4):
+            ids = H0.submit_points([GenPoint(x) for x in X[start:start + 4]],
+                                   gen_worker=1)
+            H0.mark_given(ids, sim_worker=2, given_time=0.0)
+            H0.update_with_results(
+                [(sid, float(np.linalg.norm(X[sid]))) for sid in ids], 0.0)
+
+        formatted = [0]
+        real_format = dynens.history._format_row
+
+        def counting_format(rec):
+            formatted[0] += 1
+            return real_format(rec)
+
+        dumps = []  # (rows formatted, lines written) per dump
+        real_dump = History.dump
+
+        def recording_dump(self, path):
+            before = formatted[0]
+            real_dump(self, path)
+            with open(path) as fh:
+                dumps.append((formatted[0] - before, fh.read().splitlines()))
+
+        scans = []  # (start, history length) per gen_record_ids call
+        real_scan = HistoryView.gen_record_ids
+
+        def recording_scan(self, worker, start=0):
+            scans.append((start, len(self)))
+            return real_scan(self, worker, start)
+
+        monkeypatch.setattr(dynens.history, "_format_row", counting_format)
+        monkeypatch.setattr(History, "dump", recording_dump)
+        monkeypatch.setattr(HistoryView, "gen_record_ids", recording_scan)
+
+        cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX, batch_size=10),
+                      exit_criteria=ExitCriteria(sim_max=2120), dump_every=20)
+        hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  H0=H0)
+        assert flag == "sim_max" and len(hist) >= 2120
+
+        # The first dump formats every adopted row; each later one only
+        # the rows that differ from the dump before it.
+        assert len(dumps) >= 6
+        assert dumps[0][0] == len(dumps[0][1]) - 1
+        for (_, prev), (n_formatted, lines) in zip(dumps, dumps[1:]):
+            changed = sum(1 for i, line in enumerate(lines)
+                          if i >= len(prev) or line != prev[i])
+            assert n_formatted == changed < 100
+
+        read = set()
+        for start, end in scans:
+            span = set(range(start, end))
+            assert not span & read, "a record's gen_worker was read twice"
+            read |= span
+        assert len(read) <= len(hist)
 
     def test_mode_equivalence(self, tmp_path):
         runs = []
