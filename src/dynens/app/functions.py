@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from ..executor import SubmitSpec, TaskOutcome, polling_loop
+from ..executor import (DEFAULT_POLL_INTERVAL, SubmitSpec, TaskOutcome,
+                        polling_loop)
 from ..gp_generator import gp_gen_loop
 from ..history import GenPoint
 from ..runtime import STOP_TAGS, Tag
@@ -133,7 +134,8 @@ def sim_stub_app(records, params, ctx):
                                worker_id=ctx.worker_id)
         outcome = polling_loop(
             task, ctx, timeout=timeout,
-            poll_interval=float(params.get("poll_interval", 0.5)))
+            poll_interval=float(params.get("poll_interval",
+                                            DEFAULT_POLL_INTERVAL)))
         if outcome in (TaskOutcome.KILLED_ON_SIGNAL,
                        TaskOutcome.KILLED_ON_TIMEOUT):
             ctx.killed.append(rec.sim_id)

@@ -200,10 +200,19 @@ class Task:
         self._files = []
 
     def poll(self) -> TaskState:
+        return self.wait_exit(0)
+
+    def wait_exit(self, seconds: float | None) -> TaskState:
+        """Block up to seconds (None: no limit) until a running task ends.
+
+        Returns as soon as the process exits, with the task's state; the
+        state is still RUNNING when the process outlived the wait.
+        """
         if self.state is not TaskState.RUNNING:
             return self.state
-        rc = self._proc.poll()
-        if rc is None:
+        try:
+            rc = self._proc.wait(seconds)
+        except subprocess.TimeoutExpired:
             return self.state
         self.return_code = rc
         self.end_time = time.time()
@@ -212,13 +221,10 @@ class Task:
         return self.state
 
     def wait(self, timeout: float | None = None) -> TaskState:
-        start = time.time()
-        while self.poll() is TaskState.RUNNING:
-            if timeout is not None and time.time() - start > timeout:
-                raise TimeoutError(
-                    f"task {self.task_id} still running after {timeout} s"
-                )
-            time.sleep(0.02)
+        if self.wait_exit(timeout) is TaskState.RUNNING:
+            raise TimeoutError(
+                f"task {self.task_id} still running after {timeout} s"
+            )
         return self.state
 
     def kill(self, grace: float = DEFAULT_KILL_GRACE) -> TaskState:
@@ -232,16 +238,10 @@ class Task:
             return self.state
         pgid = os.getpgid(self._proc.pid) if self._proc.pid else None
         self._signal_group(pgid, signal.SIGTERM)
-        deadline = time.time() + grace
-        while self._proc.poll() is None and time.time() < deadline:
-            time.sleep(0.02)
-        if self._proc.poll() is None:
+        if self.wait_exit(grace) is TaskState.RUNNING:
             self._signal_group(pgid, signal.SIGKILL)
-            self._proc.wait()
-        self.return_code = self._proc.returncode
-        self.end_time = time.time()
+            self.wait_exit(None)
         self.state = TaskState.USER_KILLED
-        self._close_files()
         return self.state
 
     def _signal_group(self, pgid: int | None, sig: int) -> None:
@@ -369,6 +369,11 @@ def polling_loop(
 ) -> TaskOutcome:
     """Supervise a task until it ends, honoring manager signals and a timeout.
 
+    The loop blocks on the task's process, so an app's exit is seen when it
+    happens and a timeout kill fires at the deadline. poll_interval bounds
+    only how late a manager KILL or STOP signal is acted on: signals are
+    drained before each wait, and no wait lasts longer than poll_interval.
+
     ctx, when given, must provide poll_signals() yielding ("STOP", None) or
     ("KILL", sim_id) tuples, and a current_sim_ids set; a KILL for a sim this
     worker is not running is ignored. Timeout is measured from task submit.
@@ -377,12 +382,8 @@ def polling_loop(
         return TaskOutcome.FINISHED
     if task.state is TaskState.CREATED:
         raise ExecutorError("polling_loop needs a started task")
-    while True:
-        state = task.poll()
-        if state is TaskState.FINISHED:
-            return TaskOutcome.FINISHED
-        if state in (TaskState.FAILED, TaskState.USER_KILLED):
-            return TaskOutcome.FAILED
+    state = task.poll()
+    while state is TaskState.RUNNING:
         if ctx is not None:
             for kind, sim_id in ctx.poll_signals():
                 if kind == "STOP" or (
@@ -391,7 +392,14 @@ def polling_loop(
                 ):
                     task.kill(grace)
                     return TaskOutcome.KILLED_ON_SIGNAL
-        if timeout is not None and task.runtime() > timeout:
-            task.kill(grace)
-            return TaskOutcome.KILLED_ON_TIMEOUT
-        time.sleep(poll_interval)
+        wait = poll_interval
+        if timeout is not None:
+            left = timeout - task.runtime()
+            if left <= 0:
+                task.kill(grace)
+                return TaskOutcome.KILLED_ON_TIMEOUT
+            wait = min(wait, left)
+        state = task.wait_exit(wait)
+    if state is TaskState.FINISHED:
+        return TaskOutcome.FINISHED
+    return TaskOutcome.FAILED

@@ -201,7 +201,7 @@ class _Manager:
         self.gen_fn = gen_fn
         self.sim_fn = sim_fn
         self.alloc = alloc
-        self.trace = trace if trace is not None else []
+        self.trace = trace
         self.criteria = config.exit_criteria
 
         self.history = History(config.n_dims)
@@ -245,7 +245,13 @@ class _Manager:
                 r.sim_worker = None
                 r.given_time = None
             self.history.append(r)
-            self.trace.append(("adopt", r.sim_id, r.returned))
+            if self.trace is not None:
+                self.trace.append(("adopt", r.sim_id, r.returned))
+
+    def _trace(self, kind: str, sim_ids, worker: int) -> None:
+        """Record one protocol event per sim, when a trace was asked for."""
+        if self.trace is not None:
+            self.trace.extend((kind, sid, worker) for sid in sim_ids)
 
     def _start_workers(self) -> None:
         os.makedirs(self.config.ensemble_dir, exist_ok=True)
@@ -303,8 +309,7 @@ class _Manager:
             records = [self.history.get(sid).copy()
                        for sid in action.record_ids]
             self.channels[action.target_worker].inbox.put(ResultsMsg(records))
-            for sid in action.record_ids:
-                self.trace.append(("forward", sid, action.target_worker))
+            self._trace("forward", action.record_ids, action.target_worker)
             return
         state = self.states[action.target_worker]
         if action.tag is Tag.EVAL_SIM:
@@ -315,8 +320,7 @@ class _Manager:
             state.status = WorkerStatus.BUSY_SIM
             if action.assignment is not None:
                 self.assignments[action.target_worker] = action.assignment
-            for sid in action.record_ids:
-                self.trace.append(("dispatch", sid, action.target_worker))
+            self._trace("dispatch", action.record_ids, action.target_worker)
         else:
             # Generators read the whole history so far.
             records = [r.copy() for r in self.history]
@@ -363,11 +367,9 @@ class _Manager:
         if msg.killed_ids:
             running = self.history.mark_cancel(msg.killed_ids)
             self.history.mark_kill_sent(running)
-            for sid in msg.killed_ids:
-                self.trace.append(("kill", sid, msg.worker_id))
+            self._trace("kill", msg.killed_ids, msg.worker_id)
         self.history.update_with_results(msg.results, self._now())
-        for sid, _ in msg.results:
-            self.trace.append(("result", sid, msg.worker_id))
+        self._trace("result", (sid for sid, _ in msg.results), msg.worker_id)
         assignment = self.assignments.pop(msg.worker_id, None)
         if assignment is not None and self.pool is not None:
             self.pool.release(assignment)
@@ -395,8 +397,7 @@ class _Manager:
         if msg.points:
             ids = self.history.submit_points(msg.points,
                                              gen_worker=msg.worker_id)
-            for sid in ids:
-                self.trace.append(("gen_submit", sid, msg.worker_id))
+            self._trace("gen_submit", ids, msg.worker_id)
 
     def _cancel(self, sim_ids) -> None:
         running = self.history.mark_cancel(sim_ids)
@@ -407,8 +408,7 @@ class _Manager:
         for worker, ids in by_worker.items():
             self.channels[worker].control.put(KillMsg(tuple(ids)))
             self.history.mark_kill_sent(ids)
-            for sid in ids:
-                self.trace.append(("kill", sid, worker))
+            self._trace("kill", ids, worker)
 
     def _dump(self) -> None:
         path = os.path.join(self.config.ensemble_dir, HISTORY_FILENAME)
@@ -435,7 +435,8 @@ class _Manager:
             self._shutdown()
             self._dump()
             raise
-        self.trace.append(("stop", flag))
+        if self.trace is not None:
+            self.trace.append(("stop", flag))
         self._shutdown()
         self._dump()
         return self.history, flag

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import shutil
+import signal
 import time
 
 import pytest
@@ -187,13 +188,38 @@ class TestTaskLifecycle:
             task.wait(timeout=0.3)
         task.kill()
 
+    def test_kill_follows_term_after_grace(self, live_exec, tmp_path):
+        app = tmp_path / "ignores_term.sh"
+        app.write_text("#!/bin/sh\ntrap '' TERM\ntouch ready\nsleep 30\n")
+        app.chmod(0o755)
+        live_exec.register_app("stubborn", str(app))
+        task = live_exec.submit(SubmitSpec(app="stubborn"),
+                                one_node_assignment(), str(tmp_path))
+        deadline = time.time() + 10
+        while not (tmp_path / "ready").exists():  # TERM is ignored from here
+            assert time.time() < deadline, "app never installed its trap"
+            time.sleep(0.01)
+        grace = 0.5
+        t0 = time.time()
+        assert task.kill(grace=grace) is TaskState.USER_KILLED
+        elapsed = time.time() - t0
+        assert task.return_code == -signal.SIGKILL
+        assert grace * 0.9 <= elapsed <= grace + 1.0
+
 
 class FakeCtx:
-    def __init__(self, signals=(), current=()):
+    """Delivers its signals on the deliver_on-th poll_signals() call."""
+
+    def __init__(self, signals=(), current=(), deliver_on=1):
         self.signals = list(signals)
         self.current_sim_ids = set(current)
+        self.deliver_on = deliver_on
+        self.calls = 0
 
     def poll_signals(self):
+        self.calls += 1
+        if self.calls < self.deliver_on:
+            return []
         out, self.signals = self.signals, []
         return out
 
@@ -237,6 +263,36 @@ class TestPollingLoop:
             one_node_assignment(), str(tmp_path))
         ctx = FakeCtx(signals=[("STOP", None)])
         assert polling_loop(task, ctx, poll_interval=0.05) is TaskOutcome.KILLED_ON_SIGNAL
+
+    def test_exit_seen_before_poll_interval(self, live_exec, tmp_path):
+        task = live_exec.submit(SubmitSpec(app="stub", app_args=("10", "1")),
+                                one_node_assignment(), str(tmp_path))
+        t0 = time.time()
+        assert polling_loop(task, poll_interval=5.0) is TaskOutcome.FINISHED
+        assert time.time() - t0 < 1.0
+
+    def test_timeout_kill_at_deadline_not_poll_tick(self, live_exec, tmp_path):
+        grace, timeout = 2.0, 0.5
+        task = live_exec.submit(
+            SubmitSpec(app="stub", app_args=("10", "1", "30")),
+            one_node_assignment(), str(tmp_path))
+        t0 = time.time()
+        outcome = polling_loop(task, timeout=timeout, poll_interval=5.0,
+                               grace=grace)
+        elapsed = time.time() - t0
+        assert outcome is TaskOutcome.KILLED_ON_TIMEOUT
+        assert timeout * 0.5 <= elapsed <= timeout + grace + 1.0
+        assert not (tmp_path / "forces.stat").exists()
+
+    def test_signals_checked_while_waiting(self, live_exec, tmp_path):
+        task = live_exec.submit(
+            SubmitSpec(app="stub", app_args=("10", "1", "30")),
+            one_node_assignment(), str(tmp_path))
+        ctx = FakeCtx(signals=[("KILL", 7)], current={7}, deliver_on=3)
+        outcome = polling_loop(task, ctx, poll_interval=0.1)
+        assert outcome is TaskOutcome.KILLED_ON_SIGNAL
+        assert ctx.calls == 3
+        assert not (tmp_path / "forces.stat").exists()
 
 
 class TestEnvScript:

@@ -285,6 +285,12 @@ class TestIndexes:
             [1, 2], key=lambda i: (-h.get(i).priority, i))
         assert resumed.returned_count() == 1 and resumed.best_f() == 2.0
 
+    def test_untraced_adoption_keeps_no_events(self):
+        config = RunConfig(n_dims=2, nworkers=1,
+                           exit_criteria=ExitCriteria(sim_max=1))
+        manager = _Manager(config, None, None, None, make_history(3), None)
+        assert manager.trace is None and len(manager.history) == 3
+
     def test_append_requires_next_id(self):
         h = make_history(2)
         with pytest.raises(HistoryError, match="next id 2"):
