@@ -126,6 +126,31 @@ def decide_training(rmse_val: float, std_y: float,
     return TrainMethod("global", policy.reduced_iters)
 
 
+class Exclusion:
+    """Points already sent, as select_batch sees them: each grid point's
+    distance to its nearest sent point and whether it was sent exactly,
+    in grid order. Kept up to date with add() from batch to batch, so a
+    selection never rescans the run's whole past."""
+
+    def __init__(self, grid: CandidateGrid, points=None):
+        self.grid_points = grid.points
+        self.near = np.full(len(grid.points), np.inf)
+        self.dup = np.zeros(len(grid.points), dtype=bool)
+        if points is not None:
+            self.add(points)
+
+    def add(self, points) -> None:
+        if len(points) == 0:
+            return
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.grid_points.shape[1]:
+            raise GeneratorError("excluded points have the wrong dimension")
+        for e in points:
+            self.near = np.minimum(
+                self.near, np.linalg.norm(self.grid_points - e, axis=1))
+            self.dup |= np.all(self.grid_points == e, axis=1)
+
+
 def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
                  exclude=None) -> tuple[list[int], list[float]]:
     """Greedy variance-ranked selection with a decaying separation radius.
@@ -136,7 +161,8 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
     is left r shrinks by r_decay. An accepted point sits at distance 0,
     so it is never picked twice. Once r falls below r_min the batch is
     filled by pure variance rank, skipping exact duplicates of excluded
-    points. Returns the indices and the r in force at each acceptance
+    points. ``exclude`` is a sequence of points or an ``Exclusion`` of
+    this grid. Returns the indices and the r in force at each acceptance
     (0.0 for rank fills).
     """
     pts = grid.points
@@ -144,21 +170,16 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
     if variances.shape != (len(pts),):
         raise GeneratorError(
             f"{len(variances)} variances for a grid of {len(pts)} points")
-    if exclude is None or len(exclude) == 0:
-        excl = np.empty((0, pts.shape[1]))
-    else:
-        excl = np.atleast_2d(np.asarray(exclude, dtype=float))
-        if excl.shape[1] != pts.shape[1]:
-            raise GeneratorError("excluded points have the wrong dimension")
+    if not isinstance(exclude, Exclusion):
+        exclude = Exclusion(grid, exclude)
+    elif exclude.grid_points is not pts:
+        raise GeneratorError("exclusion was built for another grid")
 
     # Everything below works in rank order.
     order = np.lexsort((np.arange(len(pts)), -variances))
     ranked = pts[order]
-    near = np.full(len(pts), np.inf)
-    dup = np.zeros(len(pts), dtype=bool)
-    for e in excl:
-        near = np.minimum(near, np.linalg.norm(ranked - e, axis=1))
-        dup |= np.all(ranked == e, axis=1)
+    near = exclude.near[order]
+    dup = exclude.dup[order]
     if len(pts) - int(dup.sum()) < params.batch_size:
         raise GeneratorError(
             f"grid has {len(pts) - int(dup.sum())} selectable points, "
@@ -214,20 +235,16 @@ class _OnlineLearner:
     """Model-side state of the loop, shared by live processing and
     history replay so a restart lands in the same state."""
 
-    def __init__(self, n_dims, policy, seed):
-        self.model = GaussianProcess(n_dims)
+    def __init__(self, grid, policy, seed):
+        self.model = GaussianProcess(grid.points.shape[1])
         self.policy = policy
         self.seed = seed
         self.all_x: list[np.ndarray] = []
         self.all_y: list[float] = []
-        self.sent_x: list[np.ndarray] = []
+        self.sent = Exclusion(grid)
         self.noise_set = False
         self.iteration = 0
         self.noise_fraction = 0.01
-
-    def note_sent(self, X):
-        for row in np.atleast_2d(X):
-            self.sent_x.append(np.asarray(row, dtype=float))
 
     def ingest(self, records: list[EnsembleRecord]):
         """Fold one returned batch in: drop NaNs, score the pre-update
@@ -279,7 +296,7 @@ class _OnlineLearner:
                 drawn += len(chunk)
             if not all(r.returned for r in chunk):
                 break
-            self.note_sent([r.x for r in chunk])
+            self.sent.add([r.x for r in chunk])
             dead = self.ingest(chunk) is None
             pos += batch_size
         # The suffix is the batch still in flight. Any already-returned
@@ -287,7 +304,7 @@ class _OnlineLearner:
         # comes back with the rest once the unreturned ones finish.
         outstanding = records[pos:]
         if outstanding:
-            self.note_sent([r.x for r in outstanding])
+            self.sent.add([r.x for r in outstanding])
         return outstanding, drawn, dead
 
 
@@ -320,12 +337,12 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
     else:
         test_set = None
 
-    learner = _OnlineLearner(n, policy, ctx.seed)
+    learner = _OnlineLearner(grid, policy, ctx.seed)
     learner.noise_fraction = params.get("noise_fraction", 0.01)
 
     def dispatch(X):
         points = [GenPoint(x=row) for row in np.atleast_2d(X)]
-        learner.note_sent(X)
+        learner.sent.add(X)
         t0 = time.perf_counter()
         tag, recs = ctx.send_recv(points)
         return tag, recs, time.perf_counter() - t0
@@ -377,7 +394,7 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
             batch = ctx.rng.uniform(lb, ub, (batch_size, n))
         else:
             indices, _ = select_batch(grid, variances, sel,
-                                      exclude=learner.sent_x)
+                                      exclude=learner.sent)
             batch = grid.points[indices]
         select_seconds = time.perf_counter() - t0
 

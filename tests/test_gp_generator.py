@@ -11,6 +11,7 @@ import pytest
 
 from dynens.gp_generator import (
     CandidateGrid,
+    Exclusion,
     GeneratorError,
     SelectionParams,
     TrainingPolicy,
@@ -293,6 +294,40 @@ def test_select_matches_reference_on_random_instances(seed, make):
                                             p.r_decay, p.r_min, exclude)
     assert got_idx == want_idx
     assert got_trace == pytest.approx(want_trace)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_select_with_carried_exclusion_over_successive_batches(seed):
+    # The generator's way: one Exclusion fed every sent batch (the picks
+    # plus off-grid points, as a uniform re-probe sends), against the
+    # reference and a fresh selection given the full exclude list.
+    rng = np.random.default_rng(300 + seed)
+    grid = CandidateGrid.build(np.zeros(3), np.ones(3), 5)
+    p = params_for(8, r_init=float(rng.uniform(0.5, 1.0)),
+                   r_min=float(rng.choice([1e-3, 0.3])))
+    carried = Exclusion(grid)
+    sent = []
+    for _ in range(6):
+        variances = np.round(rng.uniform(0, 1, len(grid.points)), 2)
+        got_idx, got_trace = select_batch(grid, variances, p, exclude=carried)
+        assert (got_idx, got_trace) == select_batch(grid, variances, p,
+                                                    exclude=sent)
+        want_idx, want_trace = reference_select(grid.points, variances,
+                                                p.batch_size, p.r_initial,
+                                                p.r_decay, p.r_min, sent)
+        assert got_idx == want_idx
+        assert got_trace == pytest.approx(want_trace)
+        batch = list(grid.points[got_idx]) + list(rng.uniform(0, 1, (2, 3)))
+        carried.add(batch)
+        sent.extend(batch)
+
+
+def test_select_rejects_exclusion_of_another_grid():
+    grid = CandidateGrid.build([0.0], [3.0], 4)
+    other = Exclusion(CandidateGrid.build([0.0], [3.0], 4))
+    with pytest.raises(GeneratorError, match="another grid"):
+        select_batch(grid, np.ones(4), params_for(1, r_init=1.0),
+                     exclude=other)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_solve, cholesky
 from scipy.spatial.distance import cdist
 from scipy.stats import multivariate_normal
 
+from dynens import surrogate
 from dynens.surrogate import (
+    JITTER_LADDER,
     GaussianProcess,
     SurrogateError,
     crps_gaussian,
@@ -399,3 +402,196 @@ def test_set_log_params_shape_checked():
     model = GaussianProcess(2)
     with pytest.raises(SurrogateError, match="log parameters"):
         model.set_log_params(np.zeros(2))
+
+
+# -- exactness of the cached kernel -----------------------------------------
+
+
+def uncached_squared_exponential(A, B, signal_variance, lengthscales):
+    diff = (A[:, None, :] - B[None, :, :]) / lengthscales
+    return signal_variance * np.exp(-0.5 * np.einsum("ijd,ijd->ij", diff, diff))
+
+
+class UncachedGP(GaussianProcess):
+    """The model before any kernel caching: K and Kf rebuilt from X for
+    every θ, the per-dimension distances rebuilt in the gradient, and
+    every parameter change dropping the factorization. The cached model
+    must reproduce these formulas bit for bit."""
+
+    def set_log_params(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        self.signal_variance = float(np.exp(theta[0]))
+        self.lengthscales = np.exp(theta[1:]).copy()
+        self._cache = None
+
+    def _factorization(self):
+        if self._cache is not None:
+            return self._cache
+        m = self.n_train
+        K = uncached_squared_exponential(self.X, self.X, self.signal_variance,
+                                         self.lengthscales)
+        K[np.diag_indices(m)] += self.noise_variance
+        for jitter in (0.0,) + JITTER_LADDER:
+            try:
+                L = cholesky(K + jitter * np.eye(m), lower=True)
+            except LinAlgError:
+                continue
+            self._cache = (L, cho_solve((L, True), self.y), jitter)
+            return self._cache
+        raise SurrogateError("covariance not factorizable")
+
+    def lml_and_grad(self, theta):
+        lml = self.log_marginal_likelihood(theta)
+        L, alpha, _ = self._factorization()
+        m = self.n_train
+        Kf = uncached_squared_exponential(self.X, self.X, self.signal_variance,
+                                          self.lengthscales)
+        Kinv = cho_solve((L, True), np.eye(m))
+        inner = np.outer(alpha, alpha) - Kinv
+        grad = np.empty(self.input_dim + 1)
+        grad[0] = 0.5 * np.sum(inner * Kf)
+        for d in range(self.input_dim):
+            D = ((self.X[:, d, None] - self.X[None, :, d])
+                 / self.lengthscales[d]) ** 2
+            grad[1 + d] = 0.5 * np.sum(inner * (Kf * D))
+        return lml, grad
+
+
+NOISE_LEVELS = (0.0, 1e-6, 1e-3)
+LARGE_SEEDS = (7, 14, 15)  # one per noise level; 15 also has duplicates
+
+
+def exactness_instance(seed):
+    """d from 1 to 5, all three noise levels; the large instances have
+    180 to 250 points, and every fifth repeats a third of its points,
+    which at zero noise forces the jitter ladder."""
+    rng = np.random.default_rng(1000 + seed)
+    d = 1 + seed % 5
+    m = int(rng.integers(180, 251) if seed in LARGE_SEEDS
+            else rng.integers(2, 41))
+    X = rng.uniform(0, 1, (m, d))
+    duplicated = seed % 5 == 0 and m >= 3
+    if duplicated:
+        k = m // 3
+        X[:k] = X[m - k:]
+    y = np.sin(3.0 * X).sum(axis=1) + 0.01 * rng.normal(size=m)
+    theta = rng.uniform(-1, 1, d + 1)
+    queries = rng.uniform(0, 1, (9, d))
+    return NOISE_LEVELS[seed % 3], X, y, theta, queries, duplicated
+
+
+def exactness_outputs(cls, seed):
+    noise, X, y, theta, queries, duplicated = exactness_instance(seed)
+    model = cls(X.shape[1], noise_variance=noise)
+    model.tell(X, y)
+    lml = model.log_marginal_likelihood(theta)
+    jitter = model._factorization()[2]
+    lml_g, grad = model.lml_and_grad(theta)
+    post = model.posterior(queries)
+    local = model.train("local")
+    theta_local = model.get_log_params()
+    glob = theta_glob = None
+    if len(X) <= 40:  # the global refinement is the same ascent again
+        glob = model.train("global", max_iter=8,
+                           rng=np.random.default_rng(seed))
+        theta_glob = model.get_log_params()
+    return dict(lml=lml, jitter=jitter, lml_g=lml_g, grad=grad,
+                mean=post.mean, var=post.variance, local=local,
+                theta_local=theta_local, glob=glob, theta_glob=theta_glob,
+                duplicated=duplicated, noise=noise)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cached_model_is_bit_identical_to_uncached_formulas(seed, caplog):
+    with caplog.at_level(logging.ERROR, logger="dynens.surrogate"):
+        got = exactness_outputs(GaussianProcess, seed)
+        want = exactness_outputs(UncachedGP, seed)
+    if got["duplicated"] and got["noise"] == 0.0:
+        assert got["jitter"] > 0.0
+    for key in ("lml", "jitter", "lml_g", "local", "glob"):
+        assert got[key] == want[key], key
+    for key in ("grad", "mean", "var", "theta_local", "theta_glob"):
+        assert np.array_equal(got[key], want[key]), key
+
+
+# -- the factorization cache ----------------------------------------------
+
+
+@pytest.fixture
+def factorized_params(monkeypatch):
+    """Patches the module's Cholesky to log, per call, the parameters of
+    the model registered in the returned dict under "model"."""
+    seen = {"model": None, "params": []}
+    real = surrogate.cholesky
+
+    def counting(a, *args, **kwargs):
+        model = seen["model"]
+        seen["params"].append((model.signal_variance,
+                               model.lengthscales.tobytes()))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "cholesky", counting)
+    return seen
+
+
+def cache_instance():
+    X = np.random.default_rng(4).uniform(0, 1, (50, 3))
+    return X, np.sin(3.0 * X).sum(axis=1), 1e-4
+
+
+def fresh_lml(X, y, noise, theta):
+    model = GaussianProcess(X.shape[1], noise_variance=noise)
+    model.tell(X, y)
+    return model.lml_and_grad(theta)
+
+
+def test_local_train_factorizes_each_distinct_theta_once(factorized_params):
+    X, y, noise = cache_instance()
+    model = GaussianProcess(X.shape[1], noise_variance=noise)
+    model.tell(X, y)
+    factorized_params["model"] = model
+    evaluated = []
+    real_lml = model.log_marginal_likelihood
+
+    def logging_lml(theta=None):
+        value = real_lml(theta)
+        evaluated.append((model.signal_variance, model.lengthscales.tobytes()))
+        return value
+
+    model.log_marginal_likelihood = logging_lml
+    result = model.train("local")
+    calls = factorized_params["params"]
+    assert len(evaluated) == result.evaluations
+    assert len(calls) == len(set(calls)) == len(set(evaluated))
+    assert len(calls) < result.evaluations
+
+
+def test_state_changes_refactorize_and_match_a_fresh_model(factorized_params):
+    X, y, noise = cache_instance()
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-1, 1, X.shape[1] + 1)
+    model = GaussianProcess(X.shape[1], noise_variance=noise)
+    model.tell(X[:40], y[:40])
+    factorized_params["model"] = model
+    calls = factorized_params["params"]
+
+    def expect_one_factorization(X, y, noise, theta):
+        fresh, fresh_grad = fresh_lml(X, y, noise, theta)
+        before = len(calls)
+        lml, grad = model.lml_and_grad(theta)
+        assert len(calls) == before + 1
+        assert lml == fresh
+        assert np.array_equal(grad, fresh_grad)
+
+    expect_one_factorization(X[:40], y[:40], noise, theta)
+    before = len(calls)
+    model.set_log_params(theta.copy())  # same θ: nothing to redo
+    model.lml_and_grad(theta)
+    assert len(calls) == before
+
+    model.tell(X, y)
+    expect_one_factorization(X, y, noise, theta)
+    model.set_noise_variance(1e-2)
+    expect_one_factorization(X, y, 1e-2, theta)
+    theta = theta + 0.25
+    expect_one_factorization(X, y, 1e-2, theta)
