@@ -25,11 +25,11 @@ import numpy as np
 
 from .history import EnsembleRecord, GenPoint
 from .runtime.messages import STOP_TAGS, Tag
-from .surrogate import GaussianProcess, TrainMethod
+from .surrogate import GaussianProcess, TrainMethod, crps_gaussian
 
 METRICS_COLUMNS = ("iteration", "n_train", "rmse_batch", "train_method",
                    "train_seconds", "select_seconds", "sim_seconds",
-                   "mse_test", "mean_var", "max_var")
+                   "mse_test", "mean_var", "max_var", "crps_test")
 
 
 class GeneratorError(Exception):
@@ -203,20 +203,24 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
 
 
 def metrics(model: GaussianProcess, test_set,
-            grid_variances: np.ndarray) -> tuple[float, float, float]:
-    """(test MSE, mean grid variance, max grid variance) from the model's
-    posterior variances on the candidate grid, which selection has
-    already computed; test MSE is NaN when no test set is configured."""
+            grid_variances: np.ndarray) -> tuple[float, float, float, float]:
+    """(test MSE, mean grid variance, max grid variance, test CRPS) from
+    the model's posterior variances on the candidate grid, which selection
+    has already computed. The test CRPS is the mean CRPS of the Gaussian
+    posterior at the test points, the calibration of the surrogate; both
+    test figures are NaN when no test set is configured."""
     if test_set is None:
-        mse = float("nan")
+        mse = crps = float("nan")
     else:
         X_t, y_t = test_set
         y_t = np.asarray(y_t, dtype=float).ravel()
         if len(y_t) == 0:
             raise GeneratorError("empty test set")
-        mean, _ = model.posterior(X_t)
+        mean, var = model.posterior(X_t)
         mse = float(np.mean((mean - y_t) ** 2))
-    return mse, float(np.mean(grid_variances)), float(np.max(grid_variances))
+        crps = float(np.mean(crps_gaussian(y_t, mean, np.sqrt(var))))
+    return (mse, float(np.mean(grid_variances)), float(np.max(grid_variances)),
+            crps)
 
 
 # -- the persistent loop -------------------------------------------------
@@ -400,11 +404,9 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
 
         if log_row:
             rmse_batch, method, train_seconds = outcome
-            mse_test, mean_var, max_var = metrics(learner.model, test_set,
-                                                  variances)
             _append_metrics_row(metrics_path, (
                 learner.iteration, learner.model.n_train, rmse_batch,
-                method.name, train_seconds,
-                select_seconds, sim_seconds, mse_test, mean_var, max_var))
+                method.name, train_seconds, select_seconds, sim_seconds,
+                *metrics(learner.model, test_set, variances)))
 
         tag, received, sim_seconds = dispatch(batch)

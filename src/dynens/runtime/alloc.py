@@ -102,7 +102,8 @@ class PersistentAlloc:
     matches a restarted generator, which replays those records itself and
     awaits only the in-flight remainder. A scan cursor and the list of the
     generator's ids not yet forwarded let each call look only at records
-    added since the last one.
+    added since the last one; in batch mode a second cursor skips the
+    outstanding ids already seen returned.
     """
 
     gen_worker: int = 1
@@ -112,6 +113,7 @@ class PersistentAlloc:
     _warned: set = field(default_factory=set)
     _scanned: int = 0
     _outstanding: list = field(default_factory=list)
+    _returned_prefix: int = 0  # batch mode: leading outstanding ids returned
 
     @classmethod
     def resuming(cls, prior_records, gen_worker: int = 1, async_mode=False):
@@ -137,17 +139,20 @@ class PersistentAlloc:
             outstanding = self._outstanding
             outstanding += [sid for sid in new_ids if sid not in self.forwarded]
             # Ids arrive in sim_id order, so every list here stays sorted.
-            returned = [sid for sid in outstanding if view.is_returned(sid)]
             if self.async_mode:
-                ready = returned
-            elif outstanding and len(returned) == len(outstanding):
-                ready = outstanding
+                ready = [sid for sid in outstanding if view.is_returned(sid)]
             else:
-                ready = []
+                # A record never un-returns: test each id until it has.
+                while (self._returned_prefix < len(outstanding)
+                       and view.is_returned(outstanding[self._returned_prefix])):
+                    self._returned_prefix += 1
+                ready = (outstanding if outstanding
+                         and self._returned_prefix == len(outstanding) else [])
             if ready:
                 self.forwarded.update(ready)
                 self._outstanding = [sid for sid in outstanding
                                      if sid not in self.forwarded]
+                self._returned_prefix = 0
                 actions.append(Forward(self.gen_worker, tuple(ready)))
         _assign_sims(view, workers, pool, actions,
                      skip_worker=self.gen_worker, warned=self._warned)

@@ -127,7 +127,6 @@ class GenBatch:
 @dataclass
 class GenDone:
     worker_id: int
-    tag: Tag = Tag.FINISHED_PERSISTENT_GEN
 
 
 @dataclass

@@ -2,17 +2,20 @@
 
 Anisotropic squared-exponential kernel, fixed observation noise, Cholesky
 factorization with a jitter ladder, and likelihood-based hyperparameter
-training in log space. Small and dense on purpose: ensembles at the scales
-this targets retrain on hundreds of points, not tens of thousands.
+training in log space: bounded L-BFGS-B on the marginal likelihood and its
+analytic gradient, optionally after a seeded random search of the bounds
+box. Small and dense on purpose: ensembles at the scales this targets
+retrain on hundreds of points, not tens of thousands.
 
-Training evaluates the likelihood at hundreds of parameter vectors θ on one
-training set, so the model caches at two levels. Per ``tell``: the pairwise
-input differences X_i - X_j, an (m, m, d) array. Per θ: the Cholesky factor,
-alpha, the noise-free kernel and the differences scaled by the lengthscales,
-kept until the data, the noise or θ actually changes (setting the same θ
-again keeps them). Beyond the factor itself the caches hold 2·m²·d + m²
-doubles, about 3.2 MB at m = 240 and d = 3. Every number is computed with
-the same floating-point operations in the same order as without them.
+Training evaluates the likelihood at tens to hundreds of parameter vectors
+θ on one training set, so the model caches at two levels. Per ``tell``: the
+pairwise input differences X_i - X_j, an (m, m, d) array. Per θ: the
+Cholesky factor, alpha, the noise-free kernel and the differences scaled by
+the lengthscales, kept until the data, the noise or θ actually changes
+(setting the same θ again keeps them). Beyond the factor itself the caches
+hold 2·m²·d + m² doubles, about 3.2 MB at m = 240 and d = 3. Every number
+is computed with the same floating-point operations in the same order as
+without them.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.optimize import minimize
 from scipy.stats import norm
 
 log = logging.getLogger(__name__)
 
 JITTER_LADDER = tuple(10.0 ** e for e in range(-10, -5))  # 1e-10 .. 1e-6
-LOCAL_MAX_STEPS = 50
+LOCAL_MAX_STEPS = 50  # L-BFGS-B iterations per refinement
+# A refinement stops at the end of the iteration in which its likelihood
+# evaluations pass MAX_EVALS; one iteration makes at most 40 (two line
+# searches of 20), so a refinement makes at most 190.
+MAX_EVALS = 150
 
 
 class SurrogateError(Exception):
@@ -278,9 +286,11 @@ class GaussianProcess:
         """Improve hyperparameters by marginal likelihood.
 
         'global': max_iter seeded uniform draws in the log-space bounds box
-        (plus the current parameters), then gradient-ascent refinement of the
-        best. 'local': gradient-ascent refinement from the current values.
-        Never finishes worse than it started (up to 1e-9).
+        (plus the current parameters), then L-BFGS-B refinement of the best.
+        'local': L-BFGS-B refinement from the current values, clipped into
+        the box, for at most min(max_iter, LOCAL_MAX_STEPS) iterations.
+        Never finishes worse than it started (up to 1e-9). ``evaluations``
+        counts every likelihood evaluation, with or without gradient.
         """
         if self.n_train == 0:
             raise SurrogateError("no training data")
@@ -310,12 +320,12 @@ class GaussianProcess:
                 evals += 1
                 if lml > best_lml:
                     best_theta, best_lml = cand, lml
-            theta, lml, n = self._ascend(best_theta, best_lml, bounds,
-                                         LOCAL_MAX_STEPS)
+            theta, lml, n = self._maximize(best_theta, bounds,
+                                           LOCAL_MAX_STEPS)
             evals += n
         elif method == "local":
-            theta, lml, n = self._ascend(theta0, lml0, bounds,
-                                         min(max_iter, LOCAL_MAX_STEPS))
+            theta, lml, n = self._maximize(theta0, bounds,
+                                           min(max_iter, LOCAL_MAX_STEPS))
             evals += n
         else:
             raise SurrogateError(f"unknown train method {method!r}")
@@ -330,36 +340,22 @@ class GaussianProcess:
         self._warn_on_tiny_lengthscales()
         return TrainResult(method, lml_entry, lml, evals)
 
-    def _ascend(self, theta, lml, bounds, max_steps):
-        """Projected gradient ascent with backtracking line search."""
-        evals = 0
-        step = 0.1
-        for _ in range(max_steps):
-            cur, grad = self.lml_and_grad(theta)
-            evals += 1
-            gmax = np.max(np.abs(grad))
-            if gmax < 1e-8:
-                break
-            direction = grad / gmax  # bounded log-space move
-            improved = False
-            s = step
-            while s > 1e-8:
-                cand = np.clip(theta + s * direction, bounds[:, 0], bounds[:, 1])
-                cand_lml = self.log_marginal_likelihood(cand)
-                evals += 1
-                if cand_lml > cur:
-                    theta, lml = cand, cand_lml
-                    step = min(s * 2.0, 1.0)
-                    improved = True
-                    break
-                s *= 0.5
-            if not improved:
-                break
-            if lml - cur < 1e-10:
-                break
-        # Leave the model on the best parameters seen.
-        self.set_log_params(theta)
-        return theta, lml, evals
+    def _maximize(self, theta, bounds, max_steps):
+        """Bounded L-BFGS-B on -lml from theta, stopping once an iteration
+        gains less than 1e-10 of the lml. Returns the best θ it evaluated,
+        that θ's lml and the number of evaluations."""
+        seen = []  # (lml, θ) per evaluation
+
+        def negated(t):
+            lml, grad = self.lml_and_grad(t)
+            seen.append((lml, t.copy()))
+            return -lml, -grad
+
+        minimize(negated, theta, jac=True, method="L-BFGS-B", bounds=bounds,
+                 options={"maxiter": max_steps, "maxfun": MAX_EVALS,
+                          "ftol": 1e-10})
+        lml, theta = max(seen, key=lambda e: e[0])
+        return theta, lml, len(seen)
 
     def _warn_on_tiny_lengthscales(self):
         if self.n_train < 2:

@@ -22,7 +22,7 @@ from dynens.gp_generator import (
     select_batch,
 )
 from dynens.runtime.messages import Tag
-from dynens.surrogate import GaussianProcess
+from dynens.surrogate import GaussianProcess, crps_gaussian
 
 from loopback import LoopbackContext
 
@@ -355,17 +355,19 @@ def test_metrics_perfect_predictions():
     y = np.array([1.0, 2.0, 0.5])
     model.tell(X, y)
     grid = CandidateGrid.build([0.0], [1.0], 5)
-    mse, mean_var, max_var = metrics(model, (X, y), model.posterior(grid.points)[1])
+    mse, mean_var, max_var, crps = metrics(model, (X, y),
+                                           model.posterior(grid.points)[1])
     assert mse < 1e-10
     assert mean_var <= max_var
+    assert 0.0 <= crps < 1e-5
 
 
 def test_metrics_without_test_set_is_nan():
     model = GaussianProcess(1)
     model.tell([[0.0]], [1.0])
     grid = CandidateGrid.build([0.0], [1.0], 5)
-    mse, _, _ = metrics(model, None, model.posterior(grid.points)[1])
-    assert math.isnan(mse)
+    mse, _, _, crps = metrics(model, None, model.posterior(grid.points)[1])
+    assert math.isnan(mse) and math.isnan(crps)
 
 
 def test_metrics_recompute_from_posterior():
@@ -376,9 +378,11 @@ def test_metrics_recompute_from_posterior():
     X_t = rng.uniform(0, 1, (6, 2))
     y_t = rng.normal(size=6)
     _, grid_var = model.posterior(grid.points)
-    mse, mean_var, max_var = metrics(model, (X_t, y_t), grid_var)
-    mean_pred, _ = model.posterior(X_t)
+    mse, mean_var, max_var, crps = metrics(model, (X_t, y_t), grid_var)
+    mean_pred, var_pred = model.posterior(X_t)
     assert mse == pytest.approx(float(np.mean((mean_pred - y_t) ** 2)))
+    assert crps == pytest.approx(float(np.mean(
+        crps_gaussian(y_t, mean_pred, np.sqrt(var_pred)))))
     assert mean_var == pytest.approx(float(np.mean(grid_var)))
     assert max_var == pytest.approx(float(np.max(grid_var)))
 
@@ -431,6 +435,7 @@ def test_loop_metrics_file(tmp_path):
     for row in rows:
         assert float(row["mean_var"]) <= float(row["max_var"])
         assert float(row["mse_test"]) >= 0.0
+        assert float(row["crps_test"]) >= 0.0
         for col in ("train_seconds", "select_seconds", "sim_seconds"):
             assert float(row[col]) >= 0.0
 

