@@ -333,7 +333,6 @@ class Executor:
 
         task = Task(task_id, argv, env, workdir, dry_run=self.dry_run)
         if self.dry_run:
-            log.info("dry-run %s: %s", task_id, task.runline)
             # One write per line: workers share stdout, and print's separate
             # newline write lets lines from two workers run together.
             sys.stdout.write(f"[dry-run] {task.runline}\n")

@@ -467,7 +467,6 @@ def schedule(
     inventory: NodeInventory,
     request: ResourceRequest,
     match_slots: bool = True,
-    split2fit: bool = True,
 ) -> Assignment:
     """Pick free resource sets for a request and mark them busy.
 
@@ -502,10 +501,10 @@ def schedule(
         if request.num_nodes:
             k_candidates: Iterable[int] = [request.num_nodes]
         else:
-            # The floor comes from full-node capacity, not the current free
-            # state: without split2fit, occupancy never widens the footprint.
+            # The floor comes from full-node capacity; occupancy may then
+            # spread the request over more nodes.
             k_min = max(1, -(-n_demand // max(capacity.values())))
-            k_max = min(len(by_node), n_demand) if split2fit else k_min
+            k_max = min(len(by_node), n_demand)
             k_candidates = range(k_min, k_max + 1)
 
         for k in k_candidates:
@@ -597,18 +596,14 @@ class ResourcePool:
         num_workers: int,
         dedicated_gen: bool = False,
         match_slots: bool = True,
-        split2fit: bool = True,
     ):
         self.inventory = inventory
         self.rsets = build_resource_sets(inventory, num_workers, dedicated_gen)
         self.match_slots = match_slots
-        self.split2fit = split2fit
 
     def schedule(self, request: ResourceRequest) -> Assignment:
-        return schedule(
-            self.rsets, self.inventory, request,
-            match_slots=self.match_slots, split2fit=self.split2fit,
-        )
+        return schedule(self.rsets, self.inventory, request,
+                        match_slots=self.match_slots)
 
     def schedule_default(self) -> Assignment:
         """Claim one resource set: the share a worker gets when the

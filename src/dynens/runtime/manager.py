@@ -21,6 +21,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable
 
 from ..history import History
@@ -189,12 +190,6 @@ def validate_trace(events) -> None:
         raise ProtocolError("trace violations:\n" + "\n".join(problems))
 
 
-class _Channels:
-    def __init__(self, inbox, control):
-        self.inbox = inbox
-        self.control = control
-
-
 class _Manager:
     def __init__(self, config: RunConfig, gen_fn, sim_fn, alloc, H0, trace):
         self.config = config
@@ -217,7 +212,8 @@ class _Manager:
                                      match_slots=match_slots)
 
         self.states = {w: WorkerState(w) for w in range(1, config.nworkers + 1)}
-        self.channels: dict[int, _Channels] = {}
+        self.inboxes: dict[int, object] = {}
+        self.conns: dict[object, int] = {}  # result pipe read end -> worker
         self.procs: dict[int, object] = {}
         self.assignments: dict[int, object] = {}
         self.gen_done = False
@@ -265,32 +261,23 @@ class _Manager:
         )
         # fork keeps user functions usable without pickling them.
         ctx = mp.get_context("fork")
-        self.results_q = ctx.Queue()
-        threads = []
-        for wid in self.states:
-            threaded = wid == 1 and self.config.comms == "gen_on_manager"
-            if threaded:
-                chan = _Channels(queue.Queue(), queue.Queue())
-                runner = threading.Thread(
-                    target=worker_main,
-                    args=(wid, wcfg, chan.inbox, chan.control, self.results_q,
-                          self.gen_fn, self.sim_fn),
-                    daemon=True)
-                threads.append(runner)
-            else:
-                chan = _Channels(ctx.Queue(), ctx.Queue())
-                runner = ctx.Process(
-                    target=worker_main,
-                    args=(wid, wcfg, chan.inbox, chan.control, self.results_q,
-                          self.gen_fn, self.sim_fn),
-                    daemon=True)
-                runner.start()
-            self.channels[wid] = chan
-            self.procs[wid] = runner
-        # Threads only after every fork: a forked child must never inherit
-        # a lock some sibling thread happened to hold.
-        for runner in threads:
+        threaded = {1} if self.config.comms == "gen_on_manager" else set()
+        # Processes first: a forked child must never inherit a lock some
+        # thread holds, nor the write end of a thread's result pipe.
+        for wid in sorted(self.states, key=lambda w: w in threaded):
+            inbox = queue.Queue() if wid in threaded else ctx.Queue()
+            reader, writer = ctx.Pipe(duplex=False)
+            runner = (threading.Thread if wid in threaded else ctx.Process)(
+                target=worker_main, daemon=True,
+                args=(wid, wcfg, inbox, writer, self.gen_fn, self.sim_fn))
             runner.start()
+            if wid not in threaded:
+                # With the child holding the only write end, its death
+                # reads as EOF; later forks must not inherit it either.
+                writer.close()
+            self.inboxes[wid] = inbox
+            self.conns[reader] = wid
+            self.procs[wid] = runner
 
     # -- cycle pieces ----------------------------------------------------
 
@@ -308,10 +295,13 @@ class _Manager:
         if isinstance(action, Forward):
             records = [self.history.get(sid).copy()
                        for sid in action.record_ids]
-            self.channels[action.target_worker].inbox.put(ResultsMsg(records))
+            self.inboxes[action.target_worker].put(ResultsMsg(records))
             self._trace("forward", action.record_ids, action.target_worker)
             return
         state = self.states[action.target_worker]
+        if not state.idle:  # it would drain the work as a signal and drop it
+            raise EnsembleError(f"allocator sent work to busy worker "
+                                f"{action.target_worker} ({state.status.value})")
         if action.tag is Tag.EVAL_SIM:
             self.history.mark_given(action.record_ids, action.target_worker,
                                     self._now())
@@ -326,20 +316,25 @@ class _Manager:
             records = [r.copy() for r in self.history]
             state.status = (WorkerStatus.PERSISTENT_GEN if action.persistent
                             else WorkerStatus.BUSY_GEN)
-        self.channels[action.target_worker].inbox.put(WorkMsg(action, records))
+        self.inboxes[action.target_worker].put(WorkMsg(action, records))
 
-    def _receive(self) -> None:
-        try:
-            msg = self.results_q.get(timeout=RECV_TIMEOUT)
-        except queue.Empty:
-            return
-        self._process(msg)
-        while True:
+    def _receive(self, timeout: float = RECV_TIMEOUT,
+                 post_exit: bool = False) -> None:
+        """Process one message from each worker that has sent one."""
+        for conn in wait(list(self.conns), timeout):
             try:
-                msg = self.results_q.get_nowait()
-            except queue.Empty:
-                return
-            self._process(msg)
+                msg = conn.recv()
+            except EOFError:  # the worker ended; only an idle, stopped one may
+                conn.close()
+                wid = self.conns.pop(conn)
+                was_idle = self.states[wid].idle
+                self.states[wid].status = WorkerStatus.IDLE
+                if not post_exit:
+                    raise EnsembleError(f"worker {wid} exited unexpectedly")
+                if not was_idle:
+                    log.warning("worker %d died during shutdown", wid)
+            else:
+                self._process(msg, post_exit)
 
     def _process(self, msg, post_exit: bool = False) -> None:
         if isinstance(msg, SimDone):
@@ -406,7 +401,7 @@ class _Manager:
             worker = self.history.get(sid).sim_worker
             by_worker.setdefault(worker, []).append(sid)
         for worker, ids in by_worker.items():
-            self.channels[worker].control.put(KillMsg(tuple(ids)))
+            self.inboxes[worker].put(KillMsg(tuple(ids)))
             self.history.mark_kill_sent(ids)
             self._trace("kill", ids, worker)
 
@@ -445,28 +440,20 @@ class _Manager:
         # Unblock a waiting persistent generator before the plain stops.
         for wid, state in self.states.items():
             if state.status is WorkerStatus.PERSISTENT_GEN:
-                self.channels[wid].inbox.put(StopMsg(Tag.PERSIS_STOP))
-        for chan in self.channels.values():
-            chan.control.put(StopMsg())
-        for chan in self.channels.values():
-            chan.inbox.put(StopMsg())
+                self.inboxes[wid].put(StopMsg(Tag.PERSIS_STOP))
+        for inbox in self.inboxes.values():
+            inbox.put(StopMsg())
 
         # Late results still land in the history; late batches do not.
         deadline = time.monotonic() + SHUTDOWN_TIMEOUT
-        while any(s.status is not WorkerStatus.IDLE
-                  for s in self.states.values()):
+        while any(not s.idle for s in self.states.values()):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                busy = [w for w, s in self.states.items()
-                        if s.status is not WorkerStatus.IDLE]
+                busy = [w for w, s in self.states.items() if not s.idle]
                 log.warning("shutdown timed out waiting on workers %s", busy)
                 break
             try:
-                msg = self.results_q.get(timeout=min(RECV_TIMEOUT, remaining))
-            except queue.Empty:
-                continue
-            try:
-                self._process(msg, post_exit=True)
+                self._receive(min(RECV_TIMEOUT, remaining), post_exit=True)
             except Exception:
                 log.exception("error processing a shutdown message")
 
@@ -475,13 +462,21 @@ class _Manager:
                 self.pool.release(assignment)
         self.assignments.clear()
 
-        for runner in self.procs.values():
+        for wid, runner in self.procs.items():
             runner.join(timeout=max(0.0, deadline - time.monotonic()) + 2.0)
-            if runner.is_alive() and hasattr(runner, "terminate"):
+            if isinstance(runner, threading.Thread):
+                continue
+            if runner.is_alive():
                 runner.terminate()
                 runner.join(1.0)
-        self.results_q.cancel_join_thread()
-        self.results_q.close()
+            # A worker that read its STOP left nothing in its inbox for the
+            # feeder thread to write; a dead one may never drain it.
+            if runner.exitcode != 0:
+                self.inboxes[wid].cancel_join_thread()
+            self.inboxes[wid].close()
+            self.inboxes[wid].join_thread()
+        for conn in self.conns:
+            conn.close()
 
 
 def run_ensemble(

@@ -1,8 +1,12 @@
 """Message vocabulary shared by the manager, workers, and user functions.
 
-Everything that crosses a channel is a plain picklable dataclass. Data
-messages (work, results) and control messages (stop, kill) travel on
-separate channels so a kill can overtake a full data queue.
+Everything that crosses a channel is a plain picklable dataclass. A
+worker's inbox queue carries all the manager sends (work, forwarded
+results, KILL, STOP); a one-way pipe carries all it sends back. Puts
+never block the manager, which always reads the pipes, so the two cannot
+deadlock. Work goes only to idle workers, so a running simulation finds
+only KILL or STOP in its inbox. A worker that ends unstopped closes its
+pipe and so ends the run.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ WorkerContext (rng stream, directories, resource assignment, kill
 polling); a persistent generator additionally gets the send/recv surface
 it streams batches through. The same loop body runs as a separate
 process (local comms) or as a thread inside the manager (gen_on_manager);
-only the channel types differ.
+only the inbox type differs.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class WorkerContext:
     or timeout) so the manager can flag those records.
     """
 
-    def __init__(self, worker_id: int, config: WorkerConfig, control):
+    def __init__(self, worker_id: int, config: WorkerConfig, inbox):
         self.worker_id = worker_id
         self.config = config
         self.seed = config.base_seed + worker_id
@@ -71,7 +71,8 @@ class WorkerContext:
         self.current_sim_ids: set[int] = set()
         self.assignment = None
         self.killed: list[int] = []
-        self._control = control
+        self.stopping = False
+        self._inbox = inbox
         self._executor = None
 
     @property
@@ -90,24 +91,26 @@ class WorkerContext:
                             f"worker{self.worker_id}", f"sim{sim_id}")
 
     def poll_signals(self) -> list[tuple[str, int | None]]:
-        """Drain the control channel without blocking.
+        """Drain the inbox, which mid-simulation holds only KILL and STOP.
 
         Returns ("KILL", sim_id) and ("STOP", None) tuples in arrival
         order; kills for sims this worker is not running are still
-        reported and filtered by the caller.
+        reported and filtered by the caller. A STOP also sets `stopping`,
+        so the worker exits once the simulation has returned.
         """
         signals: list[tuple[str, int | None]] = []
         while True:
             try:
-                msg = self._control.get_nowait()
+                msg = self._inbox.get_nowait()
             except queue.Empty:
                 break
             if isinstance(msg, KillMsg):
                 signals.extend(("KILL", sid) for sid in msg.sim_ids)
             elif isinstance(msg, StopMsg):
+                self.stopping = True
                 signals.append(("STOP", None))
             else:
-                log.warning("worker %d: unexpected control message %r",
+                log.warning("worker %d: unexpected message mid-simulation %r",
                             self.worker_id, msg)
         return signals
 
@@ -115,15 +118,15 @@ class WorkerContext:
 class PersistentGenContext:
     """Streaming surface for a persistent generator.
 
-    send hands points to the manager without blocking; recv blocks until
-    the manager answers with results or a stop tag. Attribute access
-    (rng, seed, directories) is shared with the enclosing worker context
-    so generator streams stay continuous.
+    send writes to the result pipe, which the manager always reads; recv
+    blocks on the inbox queue, where results forwarded while the generator
+    was busy wait. Attribute access (rng, seed, directories) is shared
+    with the enclosing worker context so generator streams stay continuous.
     """
 
-    def __init__(self, worker_ctx: WorkerContext, inbox, results_q):
+    def __init__(self, worker_ctx: WorkerContext, inbox, outbox):
         self._inbox = inbox
-        self._results = results_q
+        self._outbox = outbox
         self.worker_id = worker_ctx.worker_id
         self.seed = worker_ctx.seed
         self.rng = worker_ctx.rng
@@ -131,7 +134,7 @@ class PersistentGenContext:
 
     def send(self, points) -> None:
         """Hand new points to the manager; request_cancel withdraws old ones."""
-        self._results.put(GenBatch(self.worker_id, list(points)))
+        self._outbox.send(GenBatch(self.worker_id, list(points)))
 
     def recv(self) -> tuple[Tag, list]:
         msg = self._inbox.get()
@@ -148,10 +151,10 @@ class PersistentGenContext:
 
     def request_cancel(self, sim_ids) -> None:
         """Ask the manager to cancel these sims, killing any already running."""
-        self._results.put(GenBatch(self.worker_id, [], tuple(sim_ids)))
+        self._outbox.send(GenBatch(self.worker_id, [], tuple(sim_ids)))
 
 
-def _run_sim(ctx: WorkerContext, msg: WorkMsg, results_q, sim_fn) -> None:
+def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
     records = msg.records
     ctx.current_sim_ids = {r.sim_id for r in records}
     ctx.assignment = msg.work.assignment
@@ -172,47 +175,46 @@ def _run_sim(ctx: WorkerContext, msg: WorkMsg, results_q, sim_fn) -> None:
     finally:
         ctx.current_sim_ids = set()
         ctx.assignment = None
-    results_q.put(done)
+    outbox.send(done)
 
 
-def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, results_q, gen_fn) -> None:
-    if msg.work.persistent:
-        pctx = PersistentGenContext(ctx, inbox, results_q)
-        try:
-            gen_fn(msg.records, ctx.config.gen_params, pctx)
-        except Exception:
-            results_q.put(WorkerCrash(ctx.worker_id, "gen",
-                                      traceback.format_exc()))
-            return
-        results_q.put(GenDone(ctx.worker_id))
-    else:
-        try:
-            points = gen_fn(msg.records, ctx.config.gen_params, ctx)
-        except Exception:
-            results_q.put(WorkerCrash(ctx.worker_id, "gen",
-                                      traceback.format_exc()))
-            return
-        results_q.put(GenBatch(ctx.worker_id, list(points)))
+def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, outbox, gen_fn) -> None:
+    params = ctx.config.gen_params
+    try:
+        if msg.work.persistent:
+            gen_fn(msg.records, params, PersistentGenContext(ctx, inbox, outbox))
+            done = GenDone(ctx.worker_id)
+        else:
+            done = GenBatch(ctx.worker_id, list(gen_fn(msg.records, params, ctx)))
+    except Exception:
+        done = WorkerCrash(ctx.worker_id, "gen", traceback.format_exc())
+    outbox.send(done)
 
 
-def worker_main(worker_id: int, config: WorkerConfig, inbox, control,
-                results_q, gen_fn=None, sim_fn=None) -> None:
+def worker_main(worker_id: int, config: WorkerConfig, inbox, outbox,
+                gen_fn=None, sim_fn=None) -> None:
     """Body of one worker; runs until a stop message arrives on the inbox.
 
-    inbox carries work and generator result streams, control carries
-    stop/kill signals (polled mid-simulation), results_q leads back to
-    the manager.
+    inbox is the queue that carries all the manager sends: work, results
+    forwarded to a persistent generator, KILL and STOP (a simulation
+    drains the last two through WorkerContext.poll_signals). outbox is
+    the write end of the one-way pipe that carries all the worker sends.
     """
-    ctx = WorkerContext(worker_id, config, control)
-    while True:
-        msg = inbox.get()
-        if isinstance(msg, StopMsg):
-            break
-        if not isinstance(msg, WorkMsg):
-            log.warning("worker %d: ignoring unexpected %r", worker_id, msg)
-            continue
-        if msg.work.tag is Tag.EVAL_SIM:
-            _run_sim(ctx, msg, results_q, sim_fn)
-        else:
-            _run_gen(ctx, msg, inbox, results_q, gen_fn)
+    ctx = WorkerContext(worker_id, config, inbox)
+    try:
+        while not ctx.stopping:
+            msg = inbox.get()
+            if isinstance(msg, StopMsg):
+                break
+            if isinstance(msg, KillMsg):
+                continue  # its simulation returned before the kill arrived
+            if not isinstance(msg, WorkMsg):
+                log.warning("worker %d: ignoring unexpected %r", worker_id, msg)
+                continue
+            if msg.work.tag is Tag.EVAL_SIM:
+                _run_sim(ctx, msg, outbox, sim_fn)
+            else:
+                _run_gen(ctx, msg, inbox, outbox, gen_fn)
+    finally:
+        outbox.close()  # so a worker thread's end reads as EOF too
     log.debug("worker %d stopped", worker_id)

@@ -228,19 +228,15 @@ class TestSchedule:
         b = pool.schedule(ResourceRequest(num_procs=4))
         assert b.node_indices == [0, 1]  # one free slot on each
 
-    def test_split2fit_false_refuses_occupancy_split(self):
-        pool = make_pool([(8, 0), (8, 0)], 8, split2fit=False)
+    def test_occupancy_split_accepted(self):
+        pool = make_pool([(8, 0), (8, 0)], 8)
         for node in (0, 1):  # two busy slots on each node
             for r in pool.rsets:
                 if r.node_index == node and r.slot < 2:
                     r.free = False
-        # A 4-slot job fits one empty node, so the capacity floor is one node;
-        # occupancy would force a split, which split2fit=False refuses...
-        with pytest.raises(InsufficientResources):
-            pool.schedule(ResourceRequest(num_procs=8))
-        # ...and split2fit=True accepts.
-        a = schedule(pool.rsets, pool.inventory, ResourceRequest(num_procs=8),
-                     split2fit=True)
+        # A 4-slot job fits one empty node, so the capacity floor is one
+        # node; occupancy splits it over both.
+        a = pool.schedule(ResourceRequest(num_procs=8))
         assert sorted(set(a.node_indices)) == [0, 1]
 
     def test_insufficient_gpus_nonfatal_and_stateless(self):

@@ -4,7 +4,9 @@ modes."""
 
 import logging
 import math
+import multiprocessing as mp
 import os
+import pickle
 import queue
 import threading
 import time
@@ -136,6 +138,34 @@ def cancelling_gen(history_in, params, ctx):
     return tag
 
 
+def dying_sim(records, params, ctx):
+    """Kills its own worker process on sim 5."""
+    if any(r.sim_id == 5 for r in records):
+        os._exit(1)
+    return norm_sim(records, params, ctx)
+
+
+def unsendable_gen(history_in, params, ctx):
+    """One-shot generator whose batch cannot be pickled."""
+    return [GenPoint(np.zeros(2)), lambda: None]
+
+
+def sleepy_gen(history_in, params, ctx):
+    """Async persistent generator that sleeps after its first batch while
+    that batch's results are forwarded to it; then sends one more point."""
+    n, d = int(params["batch_size"]), len(params["lb"])
+    ctx.send([GenPoint(x) for x in ctx.rng.uniform(0, 1, (n, d))])
+    time.sleep(params["sleep"])
+    got = 0
+    while got < n:
+        tag, recs = ctx.recv()
+        if tag in STOP_TAGS:
+            return tag
+        got += len(recs)
+    tag, _ = ctx.send_recv([GenPoint(x) for x in ctx.rng.uniform(0, 1, (1, d))])
+    return tag
+
+
 def stalling_sim(records, params, ctx):
     """Spins on x0 > 5 until a kill or stop signal lands."""
     out = []
@@ -184,6 +214,17 @@ def run_cfg(tmp_path, sub="ens", **kw):
 
 
 GEN_BOX = {"lb": [0.0, 0.0], "ub": [1.0, 1.0], "batch_size": 4}
+PIPE_BUFFER = 64 * 1024  # bytes an OS pipe holds before a write blocks
+
+
+def assert_nothing_left_running(threads_before):
+    """No worker process and no thread the run started is still alive."""
+    assert mp.active_children() == []
+    started = [t for t in threading.enumerate() if t not in threads_before]
+    for t in started:
+        # A dead worker's inbox feeder is not waited for; it ends on its own.
+        t.join(timeout=2)
+    assert not [t for t in started if t.is_alive()]
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +494,29 @@ class TestValidateTrace:
 
 
 # ---------------------------------------------------------------------------
-# worker loop in isolation (threaded, plain queues)
+# worker loop in isolation (threaded: a plain queue inbox, a result pipe)
+
+
+class ResultPipe:
+    """A worker's result pipe, read like a queue."""
+
+    def __init__(self):
+        self.reader, self.writer = mp.Pipe(duplex=False)
+
+    def get(self, timeout):
+        if not self.reader.poll(timeout):
+            raise queue.Empty
+        return self.reader.recv()
 
 
 class ThreadedWorker:
     def __init__(self, worker_id=2, gen_fn=None, sim_fn=None, **cfg_kw):
         self.inbox = queue.Queue()
-        self.control = queue.Queue()
-        self.results = queue.Queue()
+        self.results = ResultPipe()
         cfg = WorkerConfig(**cfg_kw)
         self.thread = threading.Thread(
             target=worker_main,
-            args=(worker_id, cfg, self.inbox, self.control, self.results,
+            args=(worker_id, cfg, self.inbox, self.results.writer,
                   gen_fn, sim_fn),
             daemon=True)
         self.thread.start()
@@ -554,13 +606,45 @@ class TestWorkerLoop:
         expected = np.random.default_rng(17 + 2).uniform(size=2)
         assert seen == pytest.approx(list(expected))
 
+    def test_stop_seen_mid_sim_ends_the_loop_after_results(self, tmp_path):
+        seen = []
+
+        def waiting_sim(records, params, ctx):
+            deadline = time.monotonic() + 5
+            while not seen and time.monotonic() < deadline:
+                seen.extend(ctx.poll_signals())
+                time.sleep(0.01)
+            return [0.0 for _ in records]
+
+        w = ThreadedWorker(sim_fn=waiting_sim, ensemble_dir=str(tmp_path))
+        h = make_history(points=1)
+        w.inbox.put(WorkMsg(sim_work((0,)), [h.get(0).copy()]))
+        w.inbox.put(StopMsg())
+        assert isinstance(w.results.get(timeout=5), SimDone)
+        w.thread.join(timeout=5)
+        assert not w.thread.is_alive()
+        assert seen == [("STOP", None)]
+
+    def test_kill_after_the_sim_returned_is_skipped(self, tmp_path, caplog):
+        w = ThreadedWorker(sim_fn=norm_sim, ensemble_dir=str(tmp_path))
+        h = make_history(points=2)
+        w.inbox.put(WorkMsg(sim_work((0,)), [h.get(0).copy()]))
+        w.results.get(timeout=5)
+        w.inbox.put(KillMsg((0,)))
+        w.inbox.put(WorkMsg(sim_work((1,)), [h.get(1).copy()]))
+        done = w.results.get(timeout=5)
+        assert [sid for sid, _ in done.results] == [1]
+        assert done.killed_ids == ()
+        assert "unexpected" not in caplog.text
+        w.stop()
+
 
 class TestWorkerContext:
     def test_poll_signals_drains_in_order(self):
-        control = queue.Queue()
-        ctx = WorkerContext(3, WorkerConfig(), control)
-        control.put(KillMsg((4, 5)))
-        control.put(StopMsg())
+        inbox = queue.Queue()
+        ctx = WorkerContext(3, WorkerConfig(), inbox)
+        inbox.put(KillMsg((4, 5)))
+        inbox.put(StopMsg())
         assert ctx.poll_signals() == [("KILL", 4), ("KILL", 5), ("STOP", None)]
         assert ctx.poll_signals() == []
 
@@ -905,6 +989,87 @@ class TestRunEnsemble:
             assert not other.cancel_requested
             assert other.f == pytest.approx(np.linalg.norm(other.x))
         validate_trace(trace)
+
+    def test_work_for_a_busy_worker_is_refused(self, tmp_path):
+        def double_booking_alloc(view, workers, pool):
+            return [Work(target_worker=2, tag=Tag.EVAL_GEN)] * 2
+
+        cfg = run_cfg(tmp_path, exit_criteria=ExitCriteria(gen_max=6))
+        with pytest.raises(EnsembleError, match="busy worker 2"):
+            run_ensemble(cfg, oneshot_gen, norm_sim, alloc=double_booking_alloc)
+
+    def test_dead_worker_ends_the_run_and_can_be_resumed(self, tmp_path):
+        threads_before = set(threading.enumerate())
+        cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX),
+                      exit_criteria=ExitCriteria(sim_max=20, wallclock_max=20))
+        t0 = time.monotonic()
+        with pytest.raises(EnsembleError, match="exited unexpectedly") as err:
+            run_ensemble(cfg, random_batch_gen, dying_sim,
+                         alloc=PersistentAlloc())
+        assert time.monotonic() - t0 < 5
+        assert_nothing_left_running(threads_before)
+
+        H0 = History.load(str(tmp_path / "ens" / "history.tsv"))
+        lost = H0.get(5)
+        assert lost.given and not lost.returned
+        assert f"worker {lost.sim_worker} exited" in str(err.value)
+        # Passed back as H0, the lost record is pending again and runs.
+        cfg2 = run_cfg(tmp_path, sub="resumed", gen_params=dict(GEN_BOX),
+                       exit_criteria=ExitCriteria(sim_max=20))
+        hist, flag = run_ensemble(cfg2, random_batch_gen, norm_sim,
+                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  H0=H0)
+        assert flag == "sim_max"
+        rec = hist.get(5)
+        assert rec.returned and rec.f == pytest.approx(np.linalg.norm(rec.x))
+
+    @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_worker_that_cannot_send_ends_the_run(self, tmp_path, comms):
+        cfg = run_cfg(tmp_path, comms=comms,
+                      exit_criteria=ExitCriteria(sim_max=4, wallclock_max=20))
+        t0 = time.monotonic()
+        with pytest.raises(EnsembleError, match="worker 1 exited unexpectedly"):
+            run_ensemble(cfg, unsendable_gen, norm_sim)
+        assert time.monotonic() - t0 < 5
+
+    @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
+    def test_busy_generator_never_stalls_dispatch(self, tmp_path, comms):
+        n, d = 400, 16
+        box = {"lb": [0.0] * d, "ub": [1.0] * d, "batch_size": n, "sleep": 2.0}
+        cfg = run_cfg(tmp_path, comms=comms, n_dims=d, gen_params=box,
+                      exit_criteria=ExitCriteria(sim_max=n + 1))
+        hist, flag = run_ensemble(cfg, sleepy_gen, norm_sim,
+                                  alloc=PersistentAlloc(async_mode=True))
+        assert flag == "sim_max" and len(hist) == n + 1
+        first = hist.records[:n]
+        # More than a pipe buffer's worth was forwarded to the sleeper...
+        assert len(pickle.dumps(ResultsMsg(first))) > PIPE_BUFFER
+        # ...whose next point came only after its 2 s sleep, which began
+        # before the first sim was dispatched...
+        start = min(r.given_time for r in first)
+        assert hist.get(n).given_time - start > 1.5
+        # ...yet every sim of the first batch was dispatched and returned
+        # well within that sleep.
+        assert max(r.returned_time for r in first) - start < 1.5
+
+    @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
+    def test_batches_and_forwards_larger_than_a_pipe_buffer(self, tmp_path,
+                                                            comms):
+        threads_before = set(threading.enumerate())
+        n, d = 500, 16
+        box = {"lb": [0.0] * d, "ub": [1.0] * d, "batch_size": n}
+        cfg = run_cfg(tmp_path, comms=comms, n_dims=d, gen_params=box,
+                      exit_criteria=ExitCriteria(sim_max=2 * n))
+        hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                                  alloc=PersistentAlloc())
+        assert flag == "sim_max" and hist.returned_count() == 2 * n
+        batch = hist.records[:n]
+        assert len(pickle.dumps(GenBatch(1, [GenPoint(r.x) for r in batch]))) \
+            > PIPE_BUFFER
+        assert len(pickle.dumps(ResultsMsg(batch))) > PIPE_BUFFER
+        assert_nothing_left_running(threads_before)
 
     def test_nworkers_validation(self, tmp_path):
         with pytest.raises(ValueError, match="nworkers"):
