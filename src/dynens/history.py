@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,7 +92,11 @@ class EnsembleRecord:
     returned_time: float | None = None
 
     def copy(self) -> "EnsembleRecord":
-        return replace(self, x=self.x.copy())
+        # A shallow copy of the fields and a copy of x; cheaper than
+        # dataclasses.replace, which validates and re-runs __init__.
+        new = object.__new__(type(self))
+        new.__dict__ = {**self.__dict__, "x": self.x.copy()}
+        return new
 
 
 def _format_row(rec: EnsembleRecord) -> str:

@@ -32,6 +32,7 @@ from .messages import (
     GenBatch,
     GenDone,
     KillMsg,
+    RecordBatch,
     ResultsMsg,
     SimDone,
     StopMsg,
@@ -199,7 +200,11 @@ class _Manager:
         self.trace = trace
         self.criteria = config.exit_criteria
 
-        self.history = History(config.n_dims)
+        # One clock: the history's wall-clock start and the monotonic t0
+        # that given_time and returned_time count from are stamped
+        # together, before H0 is adopted, so adopting is part of the run.
+        self.t0 = time.monotonic()
+        self.history = History(config.n_dims, start_time=time.time())
         if H0 is not None:
             self._adopt(H0)
 
@@ -218,7 +223,6 @@ class _Manager:
         self.assignments: dict[int, object] = {}
         self.gen_done = False
         self._last_dump = 0
-        self.t0 = time.monotonic()
 
     # -- setup -----------------------------------------------------------
 
@@ -291,11 +295,14 @@ class _Manager:
             return False
         return not self.history.pending_sims()
 
+    def _batch(self, sim_ids) -> RecordBatch:
+        """A snapshot of these records, as the message a worker reads."""
+        return RecordBatch.of([self.history.get(sid) for sid in sim_ids])
+
     def _execute(self, action) -> None:
         if isinstance(action, Forward):
-            records = [self.history.get(sid).copy()
-                       for sid in action.record_ids]
-            self.inboxes[action.target_worker].put(ResultsMsg(records))
+            batch = self._batch(action.record_ids)
+            self.inboxes[action.target_worker].put(ResultsMsg(batch))
             self._trace("forward", action.record_ids, action.target_worker)
             return
         state = self.states[action.target_worker]
@@ -305,18 +312,17 @@ class _Manager:
         if action.tag is Tag.EVAL_SIM:
             self.history.mark_given(action.record_ids, action.target_worker,
                                     self._now())
-            records = [self.history.get(sid).copy()
-                       for sid in action.record_ids]
+            batch = self._batch(action.record_ids)
             state.status = WorkerStatus.BUSY_SIM
             if action.assignment is not None:
                 self.assignments[action.target_worker] = action.assignment
             self._trace("dispatch", action.record_ids, action.target_worker)
         else:
             # Generators read the whole history so far.
-            records = [r.copy() for r in self.history]
+            batch = RecordBatch.of(self.history.records)
             state.status = (WorkerStatus.PERSISTENT_GEN if action.persistent
                             else WorkerStatus.BUSY_GEN)
-        self.inboxes[action.target_worker].put(WorkMsg(action, records))
+        self.inboxes[action.target_worker].put(WorkMsg(action, batch))
 
     def _receive(self, timeout: float = RECV_TIMEOUT,
                  post_exit: bool = False) -> None:

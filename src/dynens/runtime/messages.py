@@ -7,12 +7,21 @@ never block the manager, which always reads the pipes, so the two cannot
 deadlock. Work goes only to idle workers, so a running simulation finds
 only KILL or STOP in its inbox. A worker that ends unstopped closes its
 pipe and so ends the run.
+
+Records travel to workers as a RecordBatch of columns, never as the
+manager's own objects. User functions receive the EnsembleRecords it
+rebuilds: sim_id, x, f, returned, num_procs and num_gpus are the
+manager's values; every other field keeps its default (gen_worker 0,
+given False, no times, and so on).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import Sequence
+
+import numpy as np
 
 from ..history import EnsembleRecord, GenPoint
 from ..resources import Assignment
@@ -85,16 +94,58 @@ class ExitCriteria:
 
 
 @dataclass
+class RecordBatch:
+    """Records as the columns a worker reads: sim ids, x as one float64
+    block, and f, returned, num_procs and num_gpus.
+
+    Building one copies every value out of the records, so the batch is
+    a snapshot the manager may send while it goes on changing them.
+    """
+
+    sim_ids: list[int] = field(default_factory=list)
+    x: bytes = b""
+    f: list[float] = field(default_factory=list)
+    returned: list[bool] = field(default_factory=list)
+    num_procs: list[int] = field(default_factory=list)
+    num_gpus: list[int] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, records: Sequence[EnsembleRecord]) -> "RecordBatch":
+        X = np.array([r.x for r in records], dtype=np.float64)
+        return cls([r.sim_id for r in records], X.tobytes(),
+                   [r.f for r in records], [r.returned for r in records],
+                   [r.num_procs for r in records], [r.num_gpus for r in records])
+
+    def __reduce__(self):
+        # Pickled as its values alone: the field names would be about a
+        # third of a one-record batch's bytes.
+        return RecordBatch, (self.sim_ids, self.x, self.f, self.returned,
+                             self.num_procs, self.num_gpus)
+
+    def records(self) -> list[EnsembleRecord]:
+        """The batch as fresh records; unsent fields keep their defaults."""
+        if not self.sim_ids:
+            return []
+        X = np.frombuffer(self.x, dtype=np.float64)
+        X = X.reshape(len(self.sim_ids), -1).copy()
+        return [EnsembleRecord(sid, x, f, returned=ret, num_procs=procs,
+                               num_gpus=gpus)
+                for sid, x, f, ret, procs, gpus in zip(
+                    self.sim_ids, X, self.f, self.returned, self.num_procs,
+                    self.num_gpus)]
+
+
+@dataclass
 class WorkMsg:
     work: Work
-    records: list[EnsembleRecord] = field(default_factory=list)
+    batch: RecordBatch = field(default_factory=RecordBatch)
 
 
 @dataclass
 class ResultsMsg:
     """Completed records forwarded to a persistent generator."""
 
-    records: list[EnsembleRecord] = field(default_factory=list)
+    batch: RecordBatch = field(default_factory=RecordBatch)
 
 
 @dataclass

@@ -141,7 +141,7 @@ class PersistentGenContext:
         if isinstance(msg, StopMsg):
             return msg.tag, []
         if isinstance(msg, ResultsMsg):
-            return Tag.RESULT, msg.records
+            return Tag.RESULT, msg.batch.records()
         raise ProtocolError(
             f"unexpected message for a persistent generator: {msg!r}")
 
@@ -155,7 +155,7 @@ class PersistentGenContext:
 
 
 def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
-    records = msg.records
+    records = msg.batch.records()
     ctx.current_sim_ids = {r.sim_id for r in records}
     ctx.assignment = msg.work.assignment
     ctx.killed = []
@@ -180,15 +180,18 @@ def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
 
 def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, outbox, gen_fn) -> None:
     params = ctx.config.gen_params
+    records = msg.batch.records()
     try:
         if msg.work.persistent:
-            gen_fn(msg.records, params, PersistentGenContext(ctx, inbox, outbox))
-            done = GenDone(ctx.worker_id)
+            gen_fn(records, params, PersistentGenContext(ctx, inbox, outbox))
+            outbox.send(GenDone(ctx.worker_id))
         else:
-            done = GenBatch(ctx.worker_id, list(gen_fn(msg.records, params, ctx)))
+            # Sent inside the try: a batch that cannot be pickled is a
+            # crash the manager hears about, not a dead worker.
+            outbox.send(GenBatch(ctx.worker_id,
+                                 list(gen_fn(records, params, ctx))))
     except Exception:
-        done = WorkerCrash(ctx.worker_id, "gen", traceback.format_exc())
-    outbox.send(done)
+        outbox.send(WorkerCrash(ctx.worker_id, "gen", traceback.format_exc()))
 
 
 def worker_main(worker_id: int, config: WorkerConfig, inbox, outbox,

@@ -37,10 +37,12 @@ from dynens.runtime import (
     validate_trace,
     worker_main,
 )
+from dynens.runtime.manager import _Manager
 from dynens.runtime.messages import (
     GenBatch,
     GenDone,
     KillMsg,
+    RecordBatch,
     ResultsMsg,
     SimDone,
     StopMsg,
@@ -164,6 +166,37 @@ def sleepy_gen(history_in, params, ctx):
         got += len(recs)
     tag, _ = ctx.send_recv([GenPoint(x) for x in ctx.rng.uniform(0, 1, (1, d))])
     return tag
+
+
+def recording_gen(history_in, params, ctx):
+    """Persistent generator that saves (sim_id, x, f, returned) of the
+    records it was handed, then returns."""
+    rows = [(r.sim_id, r.x.tolist(), r.f, r.returned) for r in history_in]
+    with open(os.path.join(ctx.ensemble_dir, "history_in.pkl"), "wb") as fh:
+        pickle.dump(rows, fh)
+    return Tag.FINISHED_PERSISTENT_GEN
+
+
+def scribbling_gen(history_in, params, ctx):
+    """Persistent generator that writes into every x it receives."""
+    for rec in history_in:
+        rec.x[:] = -1.0
+    tag, recs = ctx.send_recv([GenPoint(np.full(2, 0.5))])
+    for rec in recs:
+        rec.x[:] = -1.0
+    return tag
+
+
+def stamping_sim(records, params, ctx):
+    """norm_sim that writes its wall-clock entry and exit times into
+    each record's sim directory."""
+    t_in = time.time()
+    out = norm_sim(records, params, ctx)
+    t_out = time.time()
+    for rec in records:
+        with open(os.path.join(ctx.sim_dir(rec.sim_id), "wall.txt"), "w") as fh:
+            fh.write(f"{t_in!r} {t_out!r}")
+    return out
 
 
 def stalling_sim(records, params, ctx):
@@ -539,7 +572,7 @@ class TestWorkerLoop:
     def test_sim_work_returns_results(self, tmp_path):
         w = ThreadedWorker(sim_fn=norm_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=2)
-        w.inbox.put(WorkMsg(sim_work((0, 1)), [r.copy() for r in h.records]))
+        w.inbox.put(WorkMsg(sim_work((0, 1)), RecordBatch.of(h.records)))
         done = w.results.get(timeout=5)
         assert isinstance(done, SimDone) and done.worker_id == 2
         assert [sid for sid, _ in done.results] == [0, 1]
@@ -554,7 +587,7 @@ class TestWorkerLoop:
     def test_sim_exception_reports_nan_and_traceback(self, tmp_path):
         w = ThreadedWorker(sim_fn=failing_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=1)
-        w.inbox.put(WorkMsg(sim_work((0,)), [h.get(0).copy()]))
+        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of([h.get(0)])))
         done = w.results.get(timeout=5)
         assert math.isnan(done.results[0][1])
         assert "sim exploded" in done.error
@@ -562,7 +595,8 @@ class TestWorkerLoop:
 
     def test_oneshot_gen_returns_batch(self, tmp_path):
         w = ThreadedWorker(gen_fn=oneshot_gen, ensemble_dir=str(tmp_path))
-        w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN), []))
+        w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN),
+                             RecordBatch.of([])))
         batch = w.results.get(timeout=5)
         assert isinstance(batch, GenBatch) and len(batch.points) == 3
         w.stop()
@@ -570,7 +604,7 @@ class TestWorkerLoop:
     def test_gen_crash_reports_worker(self, tmp_path):
         w = ThreadedWorker(gen_fn=crashing_gen, ensemble_dir=str(tmp_path))
         w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN,
-                                 persistent=True), []))
+                                 persistent=True), RecordBatch.of([])))
         crash = w.results.get(timeout=5)
         assert crash.worker_id == 2 and crash.where == "gen"
         assert "generator exploded" in crash.traceback_text
@@ -580,11 +614,11 @@ class TestWorkerLoop:
         w = ThreadedWorker(gen_fn=counted_gen, ensemble_dir=str(tmp_path),
                            gen_params={"n_batches": 2})
         w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN,
-                                 persistent=True), []))
+                                 persistent=True), RecordBatch.of([])))
         for _ in range(2):
             batch = w.results.get(timeout=5)
             assert isinstance(batch, GenBatch) and len(batch.points) == 2
-            w.inbox.put(ResultsMsg([]))
+            w.inbox.put(ResultsMsg(RecordBatch.of([])))
         done = w.results.get(timeout=5)
         assert isinstance(done, GenDone)
         w.stop()
@@ -600,7 +634,7 @@ class TestWorkerLoop:
                            base_seed=17)
         h = make_history(points=2)
         for sid in (0, 1):
-            w.inbox.put(WorkMsg(sim_work((sid,)), [h.get(sid).copy()]))
+            w.inbox.put(WorkMsg(sim_work((sid,)), RecordBatch.of([h.get(sid)])))
             w.results.get(timeout=5)
         w.stop()
         expected = np.random.default_rng(17 + 2).uniform(size=2)
@@ -618,7 +652,7 @@ class TestWorkerLoop:
 
         w = ThreadedWorker(sim_fn=waiting_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=1)
-        w.inbox.put(WorkMsg(sim_work((0,)), [h.get(0).copy()]))
+        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of([h.get(0)])))
         w.inbox.put(StopMsg())
         assert isinstance(w.results.get(timeout=5), SimDone)
         w.thread.join(timeout=5)
@@ -628,10 +662,10 @@ class TestWorkerLoop:
     def test_kill_after_the_sim_returned_is_skipped(self, tmp_path, caplog):
         w = ThreadedWorker(sim_fn=norm_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=2)
-        w.inbox.put(WorkMsg(sim_work((0,)), [h.get(0).copy()]))
+        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of([h.get(0)])))
         w.results.get(timeout=5)
         w.inbox.put(KillMsg((0,)))
-        w.inbox.put(WorkMsg(sim_work((1,)), [h.get(1).copy()]))
+        w.inbox.put(WorkMsg(sim_work((1,)), RecordBatch.of([h.get(1)])))
         done = w.results.get(timeout=5)
         assert [sid for sid, _ in done.results] == [1]
         assert done.killed_ids == ()
@@ -657,7 +691,7 @@ class TestWorkerContext:
         inbox, results = queue.Queue(), queue.Queue()
         ctx = WorkerContext(1, WorkerConfig(), queue.Queue())
         pctx = PersistentGenContext(ctx, inbox, results)
-        inbox.put(WorkMsg(Work(target_worker=1, tag=Tag.EVAL_GEN), []))
+        inbox.put(WorkMsg(Work(target_worker=1, tag=Tag.EVAL_GEN)))
         with pytest.raises(ProtocolError):
             pctx.recv()
 
@@ -667,6 +701,70 @@ class TestWorkerContext:
         pctx = PersistentGenContext(ctx, inbox, results)
         inbox.put(StopMsg(Tag.PERSIS_STOP))
         assert pctx.recv() == (Tag.PERSIS_STOP, [])
+
+
+# ---------------------------------------------------------------------------
+# record batches
+
+
+def batch_history(n_dims, requests=True):
+    """Five records: returned with a value, returned NaN, given and
+    unreturned, and two never given; with resource requests unless
+    told otherwise."""
+    h = History(n_dims, start_time=0.0)
+    xs = np.arange(5 * n_dims, dtype=float).reshape(5, n_dims) / 7.0
+    k = 1 if requests else 0
+    h.submit_points([GenPoint(x, num_procs=k * i, num_gpus=k * (i % 2),
+                              priority=i)
+                     for i, x in enumerate(xs)], gen_worker=1)
+    h.mark_given([0, 1, 2], sim_worker=2, given_time=0.5)
+    h.update_with_results([(0, 0.25), (1, float("nan"))], returned_time=1.0)
+    return h
+
+
+class TestRecordBatch:
+    @pytest.mark.parametrize("n_dims", [1, 3])
+    def test_round_trip_keeps_the_sent_fields(self, n_dims):
+        h = batch_history(n_dims)
+        batch = pickle.loads(pickle.dumps(RecordBatch.of(h.records)))
+        got = batch.records()
+        assert batch.sim_ids == [0, 1, 2, 3, 4] and len(got) == 5
+        for rec, orig in zip(got, h.records):
+            assert rec.sim_id == orig.sim_id
+            assert rec.x.dtype == np.float64 and rec.x.shape == (n_dims,)
+            assert np.array_equal(rec.x, orig.x)
+            assert rec.f == orig.f or (math.isnan(rec.f) and math.isnan(orig.f))
+            assert rec.returned is orig.returned
+            assert (rec.num_procs, rec.num_gpus) == (orig.num_procs, orig.num_gpus)
+            # Fields the batch does not carry keep their defaults.
+            assert (rec.priority, rec.gen_worker, rec.sim_worker) == (0.0, 0, None)
+            assert not rec.given and rec.given_time is None
+        assert math.isnan(got[1].f)
+        assert [r.returned for r in got] == [True, True, False, False, False]
+
+    def test_empty_round_trip(self):
+        batch = pickle.loads(pickle.dumps(RecordBatch.of([])))
+        assert batch.sim_ids == [] and batch.records() == []
+
+    def test_received_records_are_writable_copies(self):
+        h = batch_history(2)
+        batch = RecordBatch.of(h.records)
+        got = batch.records()
+        got[0].x[:] = -1.0
+        assert np.array_equal(h.get(0).x, np.array([0.0, 1.0]) / 7.0)
+        assert np.array_equal(batch.records()[0].x, h.get(0).x)
+
+    def test_generator_message_is_a_third_the_size_of_records(self):
+        rng = np.random.default_rng(0)
+        h = History(2, start_time=0.0)
+        ids = h.submit_points([GenPoint(x) for x in rng.uniform(0, 1, (5000, 2))],
+                              gen_worker=1)
+        h.mark_given(ids, sim_worker=2, given_time=0.5)
+        h.update_with_results([(sid, 0.5) for sid in ids], returned_time=1.0)
+        work = Work(target_worker=1, tag=Tag.EVAL_GEN, persistent=True)
+        as_columns = len(pickle.dumps(WorkMsg(work, RecordBatch.of(h.records))))
+        as_records = len(pickle.dumps((work, h.records)))
+        assert 3 * as_columns <= as_records
 
 
 # ---------------------------------------------------------------------------
@@ -1024,19 +1122,80 @@ class TestRunEnsemble:
         assert rec.returned and rec.f == pytest.approx(np.linalg.norm(rec.x))
 
     @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_resumed_generator_receives_H0(self, tmp_path, comms):
+        H0 = batch_history(2, requests=False)
+        cfg = run_cfg(tmp_path, comms=comms,
+                      exit_criteria=ExitCriteria(sim_max=50))
+        hist, flag = run_ensemble(cfg, recording_gen, norm_sim,
+                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  H0=H0)
+        assert flag == "gen_finished" and hist.returned_count() == 5
+        with open(tmp_path / "ens" / "history_in.pkl", "rb") as fh:
+            rows = pickle.load(fh)
+        expected = [(r.sim_id, r.x.tolist(), r.f, r.returned) for r in H0]
+        assert len(rows) == len(expected) == 5
+        for got, want in zip(rows, expected):
+            assert got[:2] == want[:2] and got[3] is want[3]
+            assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
+
+    def test_generator_writing_into_x_leaves_the_history_alone(self, tmp_path):
+        H0 = make_history(points=4)
+        H0.mark_given(range(4), sim_worker=2, given_time=0.0)
+        H0.update_with_results([(sid, 1.0) for sid in range(4)], 0.0)
+        cfg = run_cfg(tmp_path, comms="gen_on_manager",
+                      exit_criteria=ExitCriteria(sim_max=5))
+        hist, _ = run_ensemble(cfg, scribbling_gen, norm_sim,
+                               alloc=PersistentAlloc.resuming(H0.records),
+                               H0=H0)
+        assert len(hist) == 5 and hist.returned_count() == 5
+        for sid in range(4):
+            assert np.array_equal(hist.get(sid).x, H0.get(sid).x)
+        assert np.array_equal(hist.get(4).x, np.full(2, 0.5))
+
+    def test_resumed_run_keeps_one_clock(self, tmp_path, monkeypatch):
+        """A record's wall times (start_time plus its run-relative
+        stamps) bracket what its simulator saw, even when adopting H0
+        takes a while."""
+        cfg = run_cfg(tmp_path, sub="s1", gen_params=dict(GEN_BOX),
+                      exit_criteria=ExitCriteria(sim_max=8))
+        H0, _ = run_ensemble(cfg, random_batch_gen, norm_sim,
+                             alloc=PersistentAlloc())
+        real_adopt = _Manager._adopt
+
+        def slow_adopt(self, H0):
+            real_adopt(self, H0)
+            time.sleep(0.3)
+
+        monkeypatch.setattr(_Manager, "_adopt", slow_adopt)
+        cfg2 = run_cfg(tmp_path, sub="s2", gen_params=dict(GEN_BOX),
+                       exit_criteria=ExitCriteria(sim_max=12))
+        t_before = time.time()
+        hist, _ = run_ensemble(cfg2, random_batch_gen, stamping_sim,
+                               alloc=PersistentAlloc.resuming(H0.records),
+                               H0=H0)
+        first = hist.get(len(H0))
+        wall = tmp_path / "s2" / f"worker{first.sim_worker}" / f"sim{first.sim_id}"
+        sim_in, sim_out = map(float, (wall / "wall.txt").read_text().split())
+        assert t_before <= hist.start_time + first.given_time <= sim_in
+        assert sim_out <= hist.start_time + first.returned_time
+
+    @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
     def test_worker_that_cannot_send_ends_the_run(self, tmp_path, comms):
+        threads_before = set(threading.enumerate())
         cfg = run_cfg(tmp_path, comms=comms,
                       exit_criteria=ExitCriteria(sim_max=4, wallclock_max=20))
         t0 = time.monotonic()
-        with pytest.raises(EnsembleError, match="worker 1 exited unexpectedly"):
+        with pytest.raises(EnsembleError, match="worker 1 gen function") as err:
             run_ensemble(cfg, unsendable_gen, norm_sim)
         assert time.monotonic() - t0 < 5
+        # The error names the cause: the batch's lambda would not pickle.
+        assert "Can't pickle" in str(err.value)
+        assert "lambda" in str(err.value)
+        assert_nothing_left_running(threads_before)
 
     @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
     def test_busy_generator_never_stalls_dispatch(self, tmp_path, comms):
-        n, d = 400, 16
+        n, d = 400, 24
         box = {"lb": [0.0] * d, "ub": [1.0] * d, "batch_size": n, "sleep": 2.0}
         cfg = run_cfg(tmp_path, comms=comms, n_dims=d, gen_params=box,
                       exit_criteria=ExitCriteria(sim_max=n + 1))
@@ -1045,7 +1204,7 @@ class TestRunEnsemble:
         assert flag == "sim_max" and len(hist) == n + 1
         first = hist.records[:n]
         # More than a pipe buffer's worth was forwarded to the sleeper...
-        assert len(pickle.dumps(ResultsMsg(first))) > PIPE_BUFFER
+        assert len(pickle.dumps(ResultsMsg(RecordBatch.of(first)))) > PIPE_BUFFER
         # ...whose next point came only after its 2 s sleep, which began
         # before the first sim was dispatched...
         start = min(r.given_time for r in first)
@@ -1068,7 +1227,7 @@ class TestRunEnsemble:
         batch = hist.records[:n]
         assert len(pickle.dumps(GenBatch(1, [GenPoint(r.x) for r in batch]))) \
             > PIPE_BUFFER
-        assert len(pickle.dumps(ResultsMsg(batch))) > PIPE_BUFFER
+        assert len(pickle.dumps(ResultsMsg(RecordBatch.of(batch)))) > PIPE_BUFFER
         assert_nothing_left_running(threads_before)
 
     def test_nworkers_validation(self, tmp_path):
