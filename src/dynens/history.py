@@ -3,7 +3,11 @@
 Every proposed point becomes one record with a dense, append-ordered sim_id.
 Flags only ever go False -> True; timestamps are seconds since the run started.
 The on-disk format is a tab-separated table plus a small JSON sidecar, built to
-be greppable mid-run and to round-trip exactly.
+be greppable mid-run and to round-trip exactly. A running ensemble writes the
+full table at its first dump and at its end; the dumps in between append the
+rows that changed to a journal beside the table, which History.load folds
+over it. The sidecar holds only per-run constants, so it never disagrees with
+the table, and a crash at any point leaves files that load as an earlier dump.
 
 Records change only through History's write methods and its append entry
 point, which keep the running indexes (returned count, best f, pending ids)
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -23,22 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 FORMAT_VERSION = 1
-
-# Scalar columns after the x block, in on-disk order.
-_SCALAR_COLS = (
-    "f",
-    "priority",
-    "num_procs",
-    "num_gpus",
-    "gen_worker",
-    "sim_worker",
-    "given",
-    "returned",
-    "cancel_requested",
-    "kill_sent",
-    "given_time",
-    "returned_time",
-)
+JOURNAL_SUFFIX = ".journal"
 
 
 class HistoryError(Exception):
@@ -46,12 +36,16 @@ class HistoryError(Exception):
 
 
 class HistoryFormatError(HistoryError):
-    """Malformed dump file; carries the 1-based line number when known."""
+    """Malformed dump file; carries the 1-based line number when known,
+    and the file's path when it is the journal."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 
@@ -99,21 +93,66 @@ class EnsembleRecord:
         return new
 
 
-def _format_row(rec: EnsembleRecord) -> str:
-    """One record as its dump line, without the newline."""
-    row = [str(rec.sim_id)]
-    row += [repr(float(v)) for v in rec.x]
-    for col in _SCALAR_COLS:
-        v = getattr(rec, col)
-        if v is None:
-            row.append("-")
-        elif isinstance(v, bool):
-            row.append("1" if v else "0")
-        elif isinstance(v, float):
-            row.append(repr(v))
-        else:
-            row.append(str(v))
-    return "\t".join(row)
+def _floats(col) -> list[str]:
+    return list(map(repr, col))
+
+
+def _ints(col) -> list[str]:
+    return list(map(str, col))
+
+
+def _opt_floats(col) -> list[str]:
+    return ["-" if v is None else repr(v) for v in col]
+
+
+def _opt_ints(col) -> list[str]:
+    return ["-" if v is None else str(v) for v in col]
+
+
+def _flags(col) -> list[str]:
+    return ["1" if v else "0" for v in col]
+
+
+# Scalar columns after the x block, in on-disk order, each with how a whole
+# column of it is spelled: floats by repr (exact round-trip, NaN as 'nan'),
+# ints by str, flags as 1/0 and absent values as '-'.
+_SPELL = {
+    "f": _floats,
+    "priority": _floats,
+    "num_procs": _ints,
+    "num_gpus": _ints,
+    "gen_worker": _ints,
+    "sim_worker": _opt_ints,
+    "given": _flags,
+    "returned": _flags,
+    "cancel_requested": _flags,
+    "kill_sent": _flags,
+    "given_time": _opt_floats,
+    "returned_time": _opt_floats,
+}
+_SCALAR_COLS = tuple(_SPELL)
+_scalars = operator.attrgetter(*_SCALAR_COLS)
+
+# Records formatted together; bounds the temporary column lists.
+_FORMAT_CHUNK = 512
+
+
+def _format_rows(records: Sequence[EnsembleRecord]) -> list[str]:
+    """Each record as its dump line, without the newline.
+
+    Built a column at a time over chunks of records; x cells are the
+    repr of each coordinate as a Python float.
+    """
+    rows: list[str] = []
+    for start in range(0, len(records), _FORMAT_CHUNK):
+        chunk = records[start:start + _FORMAT_CHUNK]
+        x = np.array([r.x for r in chunk], dtype=float)
+        cols = [[str(r.sim_id) for r in chunk]]
+        cols += map(_floats, x.T.tolist())
+        for spell, col in zip(_SPELL.values(), zip(*map(_scalars, chunk))):
+            cols.append(spell(col))
+        rows += map("\t".join, zip(*cols))
+    return rows
 
 
 def records_equal(a: EnsembleRecord, b: EnsembleRecord, include_times: bool = False) -> bool:
@@ -153,6 +192,12 @@ class History:
         self._pending: set[int] = set()
         # Dump line per record; None until formatted or after a change.
         self._rows: list[str | None] = []
+        # What the next dump writes: the ids whose cached row a change
+        # cleared, and every record from _dumped on. _table is the path
+        # of the last full write, which a journal dump extends.
+        self._changed: list[int] = []
+        self._dumped = 0
+        self._table: str | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -223,7 +268,7 @@ class History:
             rec.sim_worker = sim_worker
             rec.given_time = given_time
             self._pending.discard(sid)
-            self._rows[sid] = None
+            self._touch(sid)
 
     def update_with_results(self, results: Iterable[tuple[int, float]], returned_time: float) -> None:
         """Record f for sim_ids that were given and have not yet returned."""
@@ -238,7 +283,7 @@ class History:
             rec.returned_time = returned_time
             self._returned += 1
             self._note_f(rec.f)
-            self._rows[sid] = None
+            self._touch(sid)
 
     def mark_cancel(self, sim_ids: Iterable[int]) -> list[int]:
         """Set cancel_requested; returns the subset currently running.
@@ -251,7 +296,7 @@ class History:
             rec = self.get(sid)
             rec.cancel_requested = True
             self._pending.discard(sid)
-            self._rows[sid] = None
+            self._touch(sid)
             if rec.given and not rec.returned:
                 running.append(sid)
         return running
@@ -262,7 +307,13 @@ class History:
             if not rec.cancel_requested:
                 raise HistoryError(f"kill_sent without cancel_requested on sim_id {sid}")
             rec.kill_sent = True
+            self._touch(sid)
+
+    def _touch(self, sid: int) -> None:
+        """Note that record sid changed, for the cached row and the next dump."""
+        if self._rows[sid] is not None:
             self._rows[sid] = None
+            self._changed.append(sid)
 
     # -- queries ---------------------------------------------------------
 
@@ -286,29 +337,60 @@ class History:
     def _header(self) -> list[str]:
         return ["sim_id"] + [f"x{d}" for d in range(self.n_dims)] + list(_SCALAR_COLS)
 
-    def dump(self, path: str | os.PathLike) -> None:
-        """Write the table to path and metadata to path + '.meta.json'.
+    def dump(self, path: str | os.PathLike, journal: bool = False) -> None:
+        """Save the history at path: the full table plus metadata in
+        path + '.meta.json', or with journal=True the changed rows only.
 
         Floats are repr'd (exact round-trip), NaN is spelled 'nan', absent
-        values are '-'. Each file is staged through a temp file then renamed.
-        Only rows changed since the last dump are formatted again.
+        values are '-'. Only rows changed since the last dump are formatted
+        again.
+
+        With journal=True, once this history has written its full table to
+        path, a dump appends just the rows changed since the last dump to
+        path + '.journal', in one write of whole lines; load folds them
+        over the table. Otherwise the full table is written: the sidecar
+        first, then the journal is removed and the table replaced, each
+        file staged through a temp file and renamed. A crash at any point
+        leaves files that load reads as this dump or an earlier one.
         """
         path = os.fspath(path)
-        rows = self._rows
-        for sid, row in enumerate(rows):
-            if row is None:
-                rows[sid] = _format_row(self.records[sid])
-        _write_replace(path, "\n".join(["\t".join(self._header()), *rows]) + "\n")
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "n": self.n_dims,
-            "num_records": len(self.records),
-            "start_time": self.start_time,
-        }
-        _write_replace(path + ".meta.json", json.dumps(meta, indent=1) + "\n")
+        ids = sorted(self._changed)
+        ids += range(self._dumped, len(self.records))
+        rows = _format_rows([self.records[sid] for sid in ids])
+        for sid, row in zip(ids, rows):
+            self._rows[sid] = row
+        self._changed = []
+        self._dumped = len(self.records)
+        journal_path = path + JOURNAL_SUFFIX
+        appending = journal and path == self._table
+        # Until this dump is whole, the next one writes the full table.
+        self._table = None
+        if appending:
+            if rows:
+                with open(journal_path, "a") as fh:
+                    fh.write("\n".join(rows) + "\n")
+        else:
+            meta = {
+                "format_version": FORMAT_VERSION,
+                "n": self.n_dims,
+                "start_time": self.start_time,
+            }
+            _write_replace(path + ".meta.json", json.dumps(meta, indent=1) + "\n")
+            # The journal goes before the table is replaced: a crash between
+            # the two leaves the older table alone, never a stale journal
+            # folded over a newer table.
+            _write_replace(path, "\n".join(["\t".join(self._header()), *self._rows]) + "\n",
+                           stale=journal_path)
+        self._table = path
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "History":
+        """Read a dump: the table, then its journal if there is one.
+
+        Journal lines replace the table's row of their sim_id or append the
+        next one, in order, so the last line for a sim_id wins; a final
+        line without its newline is a torn write and is ignored.
+        """
         path = os.fspath(path)
         meta_path = path + ".meta.json"
         if not os.path.exists(meta_path):
@@ -338,30 +420,55 @@ class History:
             raise HistoryFormatError(
                 f"bad header {header!r}, expected {expected_header!r}", line=1
             )
-        ncols = len(expected_header)
-        for lineno, line in enumerate(raw_lines[1:], start=2):
+        records: list[EnsembleRecord] = []
+        for lineno, rec in cls._parse_rows(raw_lines[1:], 2, n_dims):
+            if rec.sim_id != len(records):
+                raise HistoryFormatError(
+                    f"sim_id {rec.sim_id} out of order (expected {len(records)})",
+                    line=lineno,
+                )
+            records.append(rec)
+        # Sidecars written before the journal also counted the records.
+        if "num_records" in meta and len(records) != meta["num_records"]:
+            raise HistoryFormatError(
+                f"metadata says {meta['num_records']} records, file has {len(records)}"
+            )
+
+        journal_path = path + JOURNAL_SUFFIX
+        if os.path.exists(journal_path):
+            with open(journal_path) as fh:
+                lines = fh.read().split("\n")[:-1]
+            for lineno, rec in cls._parse_rows(lines, 1, n_dims, journal_path):
+                if 0 <= rec.sim_id < len(records):
+                    records[rec.sim_id] = rec
+                elif rec.sim_id == len(records):
+                    records.append(rec)
+                else:
+                    raise HistoryFormatError(
+                        f"sim_id {rec.sim_id} is not dense (expected at most "
+                        f"{len(records)})", line=lineno, path=journal_path)
+        for rec in records:
+            hist.append(rec)
+        return hist
+
+    @classmethod
+    def _parse_rows(cls, lines: list[str], first_lineno: int, n_dims: int,
+                    path: str | None = None):
+        """(line number, record) for each non-blank line."""
+        ncols = 1 + n_dims + len(_SCALAR_COLS)
+        for lineno, line in enumerate(lines, start=first_lineno):
             if not line.strip():
                 continue
             cells = line.split("\t")
             if len(cells) != ncols:
                 raise HistoryFormatError(
-                    f"expected {ncols} columns, got {len(cells)}", line=lineno
+                    f"expected {ncols} columns, got {len(cells)}", line=lineno, path=path
                 )
             try:
                 rec = cls._parse_row(cells, n_dims)
             except (ValueError, TypeError) as exc:
-                raise HistoryFormatError(str(exc), line=lineno) from exc
-            if rec.sim_id != len(hist.records):
-                raise HistoryFormatError(
-                    f"sim_id {rec.sim_id} out of order (expected {len(hist.records)})",
-                    line=lineno,
-                )
-            hist.append(rec)
-        if len(hist.records) != meta.get("num_records"):
-            raise HistoryFormatError(
-                f"metadata says {meta.get('num_records')} records, file has {len(hist.records)}"
-            )
-        return hist
+                raise HistoryFormatError(str(exc), line=lineno, path=path) from exc
+            yield lineno, rec
 
     @staticmethod
     def _parse_row(cells: list[str], n_dims: int) -> EnsembleRecord:
@@ -397,12 +504,18 @@ class History:
         )
 
 
-def _write_replace(path: str, text: str) -> None:
+def _write_replace(path: str, text: str, stale: str | None = None) -> None:
     """Write text to path through a temp file and a rename, so a reader
-    sees the old file or the new one, never a torn one."""
+    sees the old file or the new one, never a torn one. A stale file that
+    the new one supersedes is removed just before the rename."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
+    if stale is not None:
+        try:
+            os.unlink(stale)
+        except FileNotFoundError:
+            pass
     os.replace(tmp, path)
 
 

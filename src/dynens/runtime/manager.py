@@ -4,7 +4,9 @@ Each cycle runs exit check, allocation, dispatch, receive, ingest. All
 mutation of the history and the resource pool happens here; workers only
 ever see message copies. That centralization is what makes runs
 replayable: under fixed seeds and a deterministic allocator in batch
-mode, two runs produce identical histories.
+mode, two runs produce the same records in every field except
+sim_worker and the two time columns. Those depend on timing: a sim goes
+to whichever worker is idle when the allocator runs.
 
 Two comms modes share this loop. "local" starts one process per worker.
 "gen_on_manager" runs worker 1 as a thread inside the manager process
@@ -411,9 +413,11 @@ class _Manager:
             self.history.mark_kill_sent(ids)
             self._trace("kill", ids, worker)
 
-    def _dump(self) -> None:
+    def _dump(self, final: bool = False) -> None:
+        """Dump the history: mid-run as a journal of the rows that changed,
+        at the run's end as the full table."""
         path = os.path.join(self.config.ensemble_dir, HISTORY_FILENAME)
-        self.history.dump(path)
+        self.history.dump(path, journal=not final)
         self._last_dump = self.history.returned_count()
 
     # -- run and shutdown ------------------------------------------------
@@ -434,12 +438,12 @@ class _Manager:
                 self._receive()
         except BaseException:
             self._shutdown()
-            self._dump()
+            self._dump(final=True)
             raise
         if self.trace is not None:
             self.trace.append(("stop", flag))
         self._shutdown()
-        self._dump()
+        self._dump(final=True)
         return self.history, flag
 
     def _shutdown(self) -> None:

@@ -1,6 +1,8 @@
 """History table: ids, flags, ordering, persistence round-trip."""
 
+import copy
 import math
+import os
 
 import numpy as np
 import pytest
@@ -196,6 +198,37 @@ class TestFlagMonotonicity:
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+REFERENCE_COLS = ("f", "priority", "num_procs", "num_gpus", "gen_worker", "sim_worker",
+                  "given", "returned", "cancel_requested", "kill_sent", "given_time",
+                  "returned_time")
+
+
+def reference_format_row(rec: EnsembleRecord) -> str:
+    """One record as its dump line, spelled a cell at a time: the writer
+    the column formatter replaced, kept as the reference it must match
+    byte for byte."""
+    row = [str(rec.sim_id)]
+    row += [repr(float(v)) for v in rec.x]
+    for col in REFERENCE_COLS:
+        v = getattr(rec, col)
+        if v is None:
+            row.append("-")
+        elif isinstance(v, bool):
+            row.append("1" if v else "0")
+        elif isinstance(v, float):
+            row.append(repr(v))
+        else:
+            row.append(str(v))
+    return "\t".join(row)
+
+
+def reference_table(h: History) -> str:
+    """The bytes of h's full table as the reference writer spells it."""
+    header = ["sim_id", *(f"x{d}" for d in range(h.n_dims)), *REFERENCE_COLS]
+    rows = [reference_format_row(r) for r in h.records]
+    return "\n".join(["\t".join(header), *rows]) + "\n"
+
+
 def adopt(h: History) -> History:
     """The history a manager builds when it resumes h as H0."""
     config = RunConfig(n_dims=h.n_dims, nworkers=1,
@@ -258,9 +291,7 @@ class TestIndexes:
             h.dump(path)
             with open(path) as fh:
                 dumped = fh.read()
-            header = "\t".join(h._header())
-            fresh = [dynens.history._format_row(r) for r in h.records]
-            assert dumped == "\n".join([header, *fresh]) + "\n"
+            assert dumped == reference_table(h)
             again = os.path.join(d, "again.tsv")
             History.load(path).dump(again)
             with open(again) as fh:
@@ -343,8 +374,7 @@ class TestPersistence:
         h.dump(p)
         import json
         meta = json.loads((tmp_path / "h.tsv.meta.json").read_text())
-        assert meta == {"format_version": 1, "n": 2,
-                        "num_records": 4, "start_time": 123.0}
+        assert meta == {"format_version": 1, "n": 2, "start_time": 123.0}
 
     def test_malformed_row_reports_line(self, tmp_path):
         h = make_history(3)
@@ -399,7 +429,6 @@ class TestPersistence:
     def test_sidecar_replaced_whole(self, tmp_path, monkeypatch):
         # A dump that dies before the sidecar's rename leaves the old
         # sidecar whole, never a truncated one.
-        import json, os
         h = make_history(1)
         p = tmp_path / "h.tsv"
         h.dump(p)
@@ -416,7 +445,7 @@ class TestPersistence:
         with pytest.raises(OSError, match="simulated crash"):
             h.dump(p)
         assert (tmp_path / "h.tsv.meta.json").read_text() == old_meta
-        assert json.loads(old_meta)["num_records"] == 1
+        assert len(History.load(p)) == 1
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json
@@ -429,6 +458,233 @@ class TestPersistence:
         mp.write_text(json.dumps(meta))
         with pytest.raises(HistoryFormatError, match="version"):
             History.load(p)
+
+
+any_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     2.2e-308 / 7, 1e16, -1e16, 1e16 + 2.0, 1e-5, -1e-5, 0.1]),
+    st.floats(width=64))
+float_or_np = st.one_of(any_float, any_float.map(np.float64))
+opt_time = st.one_of(st.none(), any_float)
+record_cells = st.fixed_dictionaries({
+    "x": st.lists(float_or_np, min_size=3, max_size=3),
+    "x_object": st.booleans(),
+    "f": any_float,
+    "priority": float_or_np,
+    "num_procs": st.integers(0, 64),
+    "num_gpus": st.integers(0, 8),
+    "gen_worker": st.integers(0, 9),
+    "sim_worker": st.one_of(st.none(), st.integers(1, 40)),
+    "given": st.booleans(),
+    "returned": st.booleans(),
+    "cancel_requested": st.booleans(),
+    "kill_sent": st.booleans(),
+    "given_time": opt_time,
+    "returned_time": opt_time,
+})
+
+
+def grow(h: History, n: int = 3) -> None:
+    """Append n records, give them all and return all but the last."""
+    ids = h.submit_points([GenPoint(x=[0.5 * k, -1.0 / (k + 3)]) for k in range(n)],
+                          gen_worker=1)
+    h.mark_given(ids, sim_worker=2, given_time=0.25)
+    h.update_with_results([(sid, sid / 3.0) for sid in ids[:-1]], returned_time=0.5)
+
+
+class TestJournal:
+    """Mid-run dumps append changed rows to path + '.journal'; load folds
+    them over the table; the full table stays the reference bytes."""
+
+    @given(st.lists(record_cells, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_column_formatter_matches_reference(self, cells):
+        from unittest import mock
+        recs = []
+        for sid, c in enumerate(cells):
+            c = dict(c)
+            x = np.array(c.pop("x"), dtype=object if c.pop("x_object") else float)
+            recs.append(EnsembleRecord(sim_id=sid, x=x, **c))
+        want = [reference_format_row(r) for r in recs]
+        assert dynens.history._format_rows(recs) == want
+        # Chunk boundaries do not show in the lines.
+        with mock.patch.object(dynens.history, "_FORMAT_CHUNK", 5):
+            assert dynens.history._format_rows(recs) == want
+
+    def test_seeded_operations_end_in_reference_bytes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = [0.1, -0.0, 1e16, 1e-5, 5e-324, math.inf, 7.0]
+        h = History(2, start_time=42.5)
+        p = str(tmp_path / "h.tsv")
+        journal_dumps = 0
+        for _ in range(3000):
+            op = rng.choice(["submit", "given", "results", "cancel", "kill_sent", "dump"],
+                            p=[0.12, 0.32, 0.32, 0.1, 0.09, 0.05])
+            sid = int(rng.integers(len(h))) if len(h) else 0
+            try:
+                if op == "submit":
+                    pts = [GenPoint(x=[values[int(rng.integers(len(values)))],
+                                       float(rng.normal())],
+                                    priority=float(rng.integers(3)))
+                           for _ in range(int(rng.integers(1, 9)))]
+                    h.submit_points(pts, gen_worker=1)
+                elif op == "given":
+                    h.mark_given([sid], sim_worker=int(rng.integers(2, 5)),
+                                 given_time=float(rng.uniform(0, 9)))
+                elif op == "results":
+                    fval = math.nan if rng.random() < 0.1 else float(rng.normal())
+                    h.update_with_results([(sid, fval)], returned_time=float(rng.uniform(0, 9)))
+                elif op == "cancel":
+                    h.mark_cancel([sid])
+                elif op == "kill_sent":
+                    h.mark_kill_sent([sid])
+                else:
+                    journal_dumps += os.path.exists(p)
+                    h.dump(p, journal=True)
+                    if journal_dumps % 8 == 1:
+                        assert histories_equal(History.load(p), h, include_times=True)
+            except HistoryError:
+                pass
+        assert len(h) > 2 * dynens.history._FORMAT_CHUNK and journal_dumps > 100, (len(h), journal_dumps)
+        assert os.path.getsize(p + ".journal") > 0
+        h.dump(p)
+        assert not os.path.exists(p + ".journal")
+        with open(p) as fh:
+            assert fh.read() == reference_table(h)
+
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_crash_at_each_rename_of_a_full_dump(self, tmp_path, monkeypatch, fail_at):
+        """The sidecar holds only per-run constants, so a dump that dies at
+        any rename loads as the dump before it."""
+        h = make_history(2)
+        p = str(tmp_path / "h.tsv")
+        h.dump(p)
+        before = copy.deepcopy(h)
+        grow(h)
+        renames = []
+        real_replace = os.replace
+
+        def dying_replace(src, dst):
+            renames.append(dst)
+            if len(renames) > fail_at:
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            h.dump(p)
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert renames[-1] == p + (".meta.json", "")[fail_at]
+        loaded = History.load(p)
+        assert (histories_equal(loaded, before, include_times=True)
+                or histories_equal(loaded, h, include_times=True))
+        # The dump after a failed one writes the whole table again.
+        h.dump(p, journal=True)
+        assert histories_equal(History.load(p), h, include_times=True)
+
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_crash_in_the_final_write_leaves_an_earlier_dump(self, tmp_path, monkeypatch,
+                                                             fail_at):
+        """A full write removes the journal before it replaces the table,
+        so a crash between the two leaves the older table alone: an
+        earlier prefix of the run, never a stale journal over a newer
+        table."""
+        h = make_history(2)
+        p = str(tmp_path / "h.tsv")
+        h.dump(p, journal=True)
+        first = copy.deepcopy(h)
+        grow(h)
+        h.dump(p, journal=True)
+        second = copy.deepcopy(h)
+        assert os.path.getsize(p + ".journal") > 0
+        grow(h)
+        h.mark_cancel([0])
+        real_replace = os.replace
+        calls = []
+
+        def dying_replace(src, dst):
+            calls.append(dst)
+            if len(calls) > fail_at:
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            h.dump(p)
+        monkeypatch.setattr(os, "replace", real_replace)
+        # Dying at the sidecar leaves the table and journal of the second
+        # dump; dying at the table, after the journal is gone, the first.
+        want = (second, first)[fail_at]
+        assert histories_equal(History.load(p), want, include_times=True)
+        h.dump(p)
+        assert histories_equal(History.load(p), h, include_times=True)
+
+    def test_torn_final_journal_line_is_ignored(self, tmp_path):
+        h = make_history(3)
+        p = str(tmp_path / "h.tsv")
+        h.dump(p, journal=True)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.5)
+        h.dump(p, journal=True)
+        given = copy.deepcopy(h)
+        h.update_with_results([(0, 2.0)], returned_time=1.0)
+        h.dump(p, journal=True)
+        assert histories_equal(History.load(p), h, include_times=True)
+        j = tmp_path / "h.tsv.journal"
+        text = j.read_text()
+        assert text.endswith("\n") and text.count("\n") == 3
+        for cut in (1, 5, len(text.splitlines()[-1])):
+            j.write_text(text[:-cut])
+            assert histories_equal(History.load(p), given, include_times=True)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda cells: cells.__setitem__(3, "zork"), "could not convert"),
+        (lambda cells: cells.__setitem__(10, "yes"), "bad boolean"),
+        (lambda cells: cells.pop(), "expected 15 columns, got 14"),
+        (lambda cells: cells.__setitem__(0, "9"), "sim_id 9 is not dense"),
+        (lambda cells: cells.__setitem__(0, "-1"), "sim_id -1 is not dense"),
+    ], ids=["float", "flag", "columns", "gap", "negative"])
+    def test_malformed_journal_line_names_journal_and_line(self, tmp_path, bad, match):
+        h = make_history(2)
+        p = str(tmp_path / "h.tsv")
+        h.dump(p, journal=True)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.5)
+        h.dump(p, journal=True)
+        j = tmp_path / "h.tsv.journal"
+        lines = j.read_text().splitlines()
+        cells = lines[1].split("\t")
+        bad(cells)
+        lines[1] = "\t".join(cells)
+        j.write_text("\n".join(lines) + "\n")
+        with pytest.raises(HistoryFormatError, match=f"h.tsv.journal: line 2: {match}"):
+            History.load(p)
+
+    def test_journal_appends_the_next_ids_in_order(self, tmp_path):
+        h = make_history(2)
+        p = str(tmp_path / "h.tsv")
+        h.dump(p, journal=True)
+        grow(h, 4)
+        h.dump(p, journal=True)
+        j = tmp_path / "h.tsv.journal"
+        assert [line.split("\t")[0] for line in j.read_text().splitlines()] == \
+            ["2", "3", "4", "5"]
+        assert histories_equal(History.load(p), h, include_times=True)
+
+    @pytest.mark.parametrize("num_records, ok", [(3, True), (4, False)])
+    def test_sidecar_that_counts_records_still_loads(self, tmp_path, num_records, ok):
+        """Dumps written before the journal carry num_records, which load
+        still checks against the table."""
+        import json
+        h = make_history(3)
+        p = tmp_path / "h.tsv"
+        h.dump(p)
+        mp = tmp_path / "h.tsv.meta.json"
+        meta = json.loads(mp.read_text())
+        mp.write_text(json.dumps(dict(meta, num_records=num_records), indent=1) + "\n")
+        if ok:
+            assert histories_equal(History.load(p), h, include_times=True)
+        else:
+            with pytest.raises(HistoryFormatError, match="metadata says 4 records, file has 3"):
+                History.load(p)
 
 
 def test_records_equal_ignores_times_by_default():

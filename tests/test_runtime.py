@@ -2,6 +2,7 @@
 the worker loop in isolation, and small live ensembles in both comms
 modes."""
 
+import dataclasses
 import logging
 import math
 import multiprocessing as mp
@@ -14,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from dynens.history import GenPoint, History, histories_equal
+from dynens.history import GenPoint, History, histories_equal, records_equal
 from dynens.resources import Node, NodeInventory, ResourcePool
 from dynens.runtime import (
     DefaultAlloc,
@@ -792,6 +793,22 @@ class TestRunEnsemble:
         loaded = History.load(str(tmp_path / "ens" / "history.tsv"))
         assert len(loaded) == 4 and loaded.returned_count() == 4
 
+    def test_seeded_batch_runs_differ_only_in_sim_worker_and_times(self, tmp_path):
+        """Two seeded batch-mode runs agree on every field of every record
+        except sim_worker and the two time columns: a sim goes to whichever
+        worker is idle when the allocator runs."""
+        runs = []
+        for sub in ("first", "second"):
+            cfg = run_cfg(tmp_path, sub=sub, nworkers=4, seed=11,
+                          gen_params=dict(GEN_BOX, batch_size=6),
+                          exit_criteria=ExitCriteria(sim_max=120))
+            hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                                      alloc=PersistentAlloc())
+            assert flag == "sim_max" and len(hist) == hist.returned_count() == 120
+            runs.append(hist)
+        for a, b in zip(*runs):
+            assert records_equal(a, dataclasses.replace(b, sim_worker=a.sim_worker))
+
     def test_sim_max_zero_stops_before_any_work(self, tmp_path):
         cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX),
                       exit_criteria=ExitCriteria(sim_max=0))
@@ -930,9 +947,11 @@ class TestRunEnsemble:
 
     def test_resumed_run_stays_linear_in_history_size(self, tmp_path,
                                                        monkeypatch):
-        """Counts, not timings: on a 2000-record resume each dump formats
-        only the rows that changed since the one before, and the allocator
-        reads each record's gen_worker at most once."""
+        """Counts, not timings: on a 2000-record resume each mid-run dump
+        formats and appends to the journal only the rows that changed since
+        the one before, the table is written only by the first and the
+        final dump, and the allocator reads each record's gen_worker at
+        most once."""
         import dynens.history
 
         rng = np.random.default_rng(3)
@@ -946,20 +965,38 @@ class TestRunEnsemble:
                 [(sid, float(np.linalg.norm(X[sid]))) for sid in ids], 0.0)
 
         formatted = [0]
-        real_format = dynens.history._format_row
+        real_format = dynens.history._format_rows
 
-        def counting_format(rec):
-            formatted[0] += 1
-            return real_format(rec)
+        def counting_format(records):
+            formatted[0] += len(records)
+            return real_format(records)
 
-        dumps = []  # (rows formatted, lines written) per dump
+        written = []  # paths replaced through a temp file
+        real_write = dynens.history._write_replace
+
+        def recording_write(path, text, stale=None):
+            written.append(path)
+            real_write(path, text, stale)
+
+        def contents(path):
+            if not os.path.exists(path):
+                return ""
+            with open(path) as fh:
+                return fh.read()
+
+        # (rows formatted, journal lines appended, table written, every
+        # record's line after the dump) per dump
+        dumps = []
         real_dump = History.dump
 
-        def recording_dump(self, path):
-            before = formatted[0]
-            real_dump(self, path)
-            with open(path) as fh:
-                dumps.append((formatted[0] - before, fh.read().splitlines()))
+        def recording_dump(self, path, journal=False):
+            before, n_written = formatted[0], len(written)
+            old = contents(path + ".journal")
+            real_dump(self, path, journal)
+            new = contents(path + ".journal")
+            appended = new[len(old):].splitlines() if new.startswith(old) else None
+            dumps.append((formatted[0] - before, appended,
+                          path in written[n_written:], real_format(self.records)))
 
         scans = []  # (start, history length) per gen_record_ids call
         real_scan = HistoryView.gen_record_ids
@@ -968,7 +1005,8 @@ class TestRunEnsemble:
             scans.append((start, len(self)))
             return real_scan(self, worker, start)
 
-        monkeypatch.setattr(dynens.history, "_format_row", counting_format)
+        monkeypatch.setattr(dynens.history, "_format_rows", counting_format)
+        monkeypatch.setattr(dynens.history, "_write_replace", recording_write)
         monkeypatch.setattr(History, "dump", recording_dump)
         monkeypatch.setattr(HistoryView, "gen_record_ids", recording_scan)
 
@@ -979,14 +1017,23 @@ class TestRunEnsemble:
                                   H0=H0)
         assert flag == "sim_max" and len(hist) >= 2120
 
-        # The first dump formats every adopted row; each later one only
-        # the rows that differ from the dump before it.
+        # The first dump writes the table with every adopted row; each
+        # mid-run one appends exactly the rows that differ from the dump
+        # before it; the final one writes the table again.
         assert len(dumps) >= 6
-        assert dumps[0][0] == len(dumps[0][1]) - 1
-        for (_, prev), (n_formatted, lines) in zip(dumps, dumps[1:]):
-            changed = sum(1 for i, line in enumerate(lines)
-                          if i >= len(prev) or line != prev[i])
-            assert n_formatted == changed < 100
+        n_formatted, appended, table, lines = dumps[0]
+        assert table and appended == [] and n_formatted == len(lines)
+        for (*_, prev), (n_formatted, appended, table, lines) in zip(dumps, dumps[1:-1]):
+            changed = [line for i, line in enumerate(lines)
+                       if i >= len(prev) or line != prev[i]]
+            assert not table
+            assert n_formatted == len(changed) < 100
+            assert sorted(appended) == sorted(changed)
+        assert dumps[-1][2]
+        path = os.path.join(cfg.ensemble_dir, "history.tsv")
+        assert not os.path.exists(path + ".journal")
+        header = "\t".join(hist._header())
+        assert contents(path) == "\n".join([header, *dumps[-1][3]]) + "\n"
 
         read = set()
         for start, end in scans:
