@@ -122,13 +122,9 @@ class EnsembleConfig:
     persistent: bool
     async_mode: bool = False
 
-    def make_alloc(self, prior_records=None):
-        """Fresh allocator for one run; prior_records resumes a dumped
-        history under the persistent allocator."""
+    def make_alloc(self):
+        """Fresh allocator for one run, a resumed one included."""
         if self.alloc_name == "persistent":
-            if prior_records is not None:
-                return PersistentAlloc.resuming(prior_records,
-                                                async_mode=self.async_mode)
             return PersistentAlloc(async_mode=self.async_mode)
         return DefaultAlloc()
 

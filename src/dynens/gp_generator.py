@@ -10,8 +10,9 @@ iteration.
 The context object handed to ``gp_gen_loop`` supplies ``rng``, ``seed``,
 ``send(points)``, ``recv()`` and ``send_recv(points)``; results arrive as
 history records. A restarted generator is reconstructed by replaying the
-prior history chunk by chunk, so a resumed ensemble continues exactly
-where an uninterrupted one would be.
+prior history chunk by chunk and completes a batch left in flight with
+the records the manager forwards, so a resumed ensemble continues
+exactly where an uninterrupted one would be.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class Exclusion:
 
 
 def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
-                 exclude=None) -> tuple[list[int], list[float]]:
+                 exclude: Exclusion) -> tuple[list[int], list[float]]:
     """Greedy variance-ranked selection with a decaying separation radius.
 
     Candidates are ranked by variance, descending (ties by index). Each
@@ -161,18 +162,15 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
     is left r shrinks by r_decay. An accepted point sits at distance 0,
     so it is never picked twice. Once r falls below r_min the batch is
     filled by pure variance rank, skipping exact duplicates of excluded
-    points. ``exclude`` is a sequence of points or an ``Exclusion`` of
-    this grid. Returns the indices and the r in force at each acceptance
-    (0.0 for rank fills).
+    points. ``exclude`` is an ``Exclusion`` of this grid. Returns the
+    indices and the r in force at each acceptance (0.0 for rank fills).
     """
     pts = grid.points
     variances = np.asarray(variances, dtype=float)
     if variances.shape != (len(pts),):
         raise GeneratorError(
             f"{len(variances)} variances for a grid of {len(pts)} points")
-    if not isinstance(exclude, Exclusion):
-        exclude = Exclusion(grid, exclude)
-    elif exclude.grid_points is not pts:
+    if exclude.grid_points is not pts:
         raise GeneratorError("exclusion was built for another grid")
 
     # Everything below works in rank order.
@@ -303,9 +301,8 @@ class _OnlineLearner:
             self.sent.add([r.x for r in chunk])
             dead = self.ingest(chunk) is None
             pos += batch_size
-        # The suffix is the batch still in flight. Any already-returned
-        # record in it was never forwarded as part of a complete batch and
-        # comes back with the rest once the unreturned ones finish.
+        # The suffix is the batch still in flight. Its already-returned
+        # records are here only: the manager forwards just the rest.
         outstanding = records[pos:]
         if outstanding:
             self.sent.add([r.x for r in outstanding])
@@ -352,30 +349,30 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
         return tag, recs, time.perf_counter() - t0
 
     sim_seconds = float("nan")
-    outstanding, dead = [], True
-    if history_in:
-        outstanding, drawn, dead = learner.replay(history_in, batch_size,
-                                                  random_mode)
-        # Burning the rows the prior run drew realigns the stream.
-        ctx.rng.uniform(lb, ub, (drawn, n))
+    outstanding, drawn, dead = learner.replay(history_in, batch_size,
+                                              random_mode)
+    # Burning the rows the prior run drew realigns the stream.
+    ctx.rng.uniform(lb, ub, (drawn, n))
+    need_ingest = True
     if outstanding:
         t0 = time.perf_counter()
         tag, received = ctx.recv()
         sim_seconds = time.perf_counter() - t0
-        need_ingest = True
+        # Complete the in-flight batch as an uninterrupted run receives it.
+        received = sorted([r for r in outstanding if r.returned] + received,
+                          key=lambda r: r.sim_id)
     elif dead:
         # A fresh run bootstraps; a resumed one whose last batch all died
         # re-probes, as the prior run would have.
         tag, received, sim_seconds = dispatch(
             initial_sample(lb, ub, batch_size, ctx.rng))
-        need_ingest = True
     else:
         tag, received, need_ingest = None, [], False
 
     while True:
         if need_ingest:
             if tag in STOP_TAGS:
-                return Tag.FINISHED_PERSISTENT_GEN
+                return tag
             outcome = learner.ingest(received)
             if outcome is None:
                 # Every point came back dead; probe somewhere fresh.

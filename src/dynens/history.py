@@ -230,7 +230,7 @@ class History:
             rec = EnsembleRecord(
                 sim_id=len(self.records),
                 x=p.x.copy(),
-                priority=float(p.priority),
+                priority=p.priority,
                 num_procs=int(p.num_procs),
                 num_gpus=int(p.num_gpus),
                 gen_worker=gen_worker,
@@ -240,13 +240,20 @@ class History:
         return ids
 
     def append(self, rec: EnsembleRecord) -> None:
-        """Append an existing record (not copied) as the next sim_id."""
+        """Append an existing record (not copied) as the next sim_id. Its
+        float cells are stored as Python floats: numpy's would dump as
+        'np.float64(...)', which load rejects."""
         if rec.sim_id != len(self.records):
             raise HistoryError(
                 f"appended sim_id {rec.sim_id} != next id {len(self.records)}")
         if rec.x.shape != (self.n_dims,):
             raise HistoryError(
                 f"appended x has shape {rec.x.shape}, expected ({self.n_dims},)")
+        rec.f, rec.priority = float(rec.f), float(rec.priority)
+        if rec.given_time is not None:
+            rec.given_time = float(rec.given_time)
+        if rec.returned_time is not None:
+            rec.returned_time = float(rec.returned_time)
         self.records.append(rec)
         self._rows.append(None)
         if rec.returned:

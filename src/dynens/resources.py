@@ -627,6 +627,3 @@ class ResourcePool:
             if self.rsets[rid].free:
                 raise ResourceError(f"double release of resource set {rid}")
             self.rsets[rid].free = True
-
-    def free_count(self) -> int:
-        return sum(1 for r in self.rsets if r.free)

@@ -97,29 +97,26 @@ class PersistentAlloc:
     """One persistent generator on worker `gen_worker`; results stream
     back to it in complete sim_id-sorted batches (or singly when async).
 
-    Forwarding state lives here: `forwarded` holds ids already routed to
-    the generator. Seeding it with the returned ids of a prior history
-    matches a restarted generator, which replays those records itself and
-    awaits only the in-flight remainder. A scan cursor and the list of the
-    generator's ids not yet forwarded let each call look only at records
-    added since the last one; in batch mode a second cursor skips the
-    outstanding ids already seen returned.
+    The generator's start message carries every record returned so far,
+    a resumed run's included, so only the generator's records unreturned
+    at its start, and those it makes later, are forwarded. A scan cursor
+    and the list of the generator's ids not yet forwarded let each call
+    look only at records added since the last one; in batch mode a
+    second cursor skips the outstanding ids already seen returned.
     """
 
     gen_worker: int = 1
     async_mode: bool = False
     started: bool = False
-    forwarded: set = field(default_factory=set)
     _warned: set = field(default_factory=set)
     _scanned: int = 0
     _outstanding: list = field(default_factory=list)
     _returned_prefix: int = 0  # batch mode: leading outstanding ids returned
 
     @classmethod
-    def resuming(cls, prior_records, gen_worker: int = 1, async_mode=False):
-        alloc = cls(gen_worker=gen_worker, async_mode=async_mode)
-        alloc.forwarded = {r.sim_id for r in prior_records if r.returned}
-        return alloc
+    def resuming(cls, records, gen_worker: int = 1, async_mode=False):
+        """Alias of the constructor; `records` is not read."""
+        return cls(gen_worker=gen_worker, async_mode=async_mode)
 
     def __call__(self, view, workers, pool):
         actions: list = []
@@ -131,13 +128,15 @@ class PersistentAlloc:
             actions.append(Work(target_worker=self.gen_worker,
                                 tag=Tag.EVAL_GEN, persistent=True))
             self.started = True
+            self._outstanding = view.unreturned_gen_ids(self.gen_worker)
+            self._scanned = len(view)
         elif state is not None and state.status is WorkerStatus.PERSISTENT_GEN:
             # A finished generator drops its worker back to idle, which
             # ends forwarding without any extra bookkeeping here.
-            new_ids = view.gen_record_ids(self.gen_worker, start=self._scanned)
-            self._scanned = len(view)
             outstanding = self._outstanding
-            outstanding += [sid for sid in new_ids if sid not in self.forwarded]
+            outstanding += view.gen_record_ids(self.gen_worker,
+                                               start=self._scanned)
+            self._scanned = len(view)
             # Ids arrive in sim_id order, so every list here stays sorted.
             if self.async_mode:
                 ready = [sid for sid in outstanding if view.is_returned(sid)]
@@ -149,9 +148,9 @@ class PersistentAlloc:
                 ready = (outstanding if outstanding
                          and self._returned_prefix == len(outstanding) else [])
             if ready:
-                self.forwarded.update(ready)
+                done = set(ready)
                 self._outstanding = [sid for sid in outstanding
-                                     if sid not in self.forwarded]
+                                     if sid not in done]
                 self._returned_prefix = 0
                 actions.append(Forward(self.gen_worker, tuple(ready)))
         _assign_sims(view, workers, pool, actions,

@@ -99,15 +99,17 @@ class HistoryView:
     def pending_sims(self):
         return self._h.pending_sims()
 
-    def returned_count(self) -> int:
-        return self._h.returned_count()
-
     def is_returned(self, sim_id: int) -> bool:
         return self._h.get(sim_id).returned
 
     def gen_record_ids(self, worker: int, start: int = 0) -> list[int]:
         """Ids of the records from sim_id `start` on that `worker` generated."""
         return [r.sim_id for r in self._h.records[start:] if r.gen_worker == worker]
+
+    def unreturned_gen_ids(self, worker: int) -> list[int]:
+        """Ids of the unreturned records that `worker` generated."""
+        return [r.sim_id for r in self._h.records
+                if r.gen_worker == worker and not r.returned]
 
 
 def check_exit(history: History, elapsed: float,

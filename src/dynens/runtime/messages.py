@@ -32,7 +32,6 @@ class Tag(IntEnum):
     EVAL_SIM = 2
     STOP = 3
     PERSIS_STOP = 4
-    FINISHED_PERSISTENT_GEN = 5
     RESULT = 6
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 log = logging.getLogger(__name__)
 
@@ -98,7 +98,8 @@ def crps_gaussian(y, mean, sigma):
     err = np.abs(y - mean)
     pos = sigma > 0
     z = np.divide(y - mean, sigma, out=np.zeros_like(err), where=pos)
-    term = z * (2.0 * norm.cdf(z) - 1.0) + 2.0 * norm.pdf(z) - 1.0 / math.sqrt(math.pi)
+    pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+    term = z * (2.0 * ndtr(z) - 1.0) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
     out = np.where(pos, sigma * term, err)
     return out if out.ndim else float(out)
 

@@ -389,7 +389,7 @@ def test_criterion_07_restart_determinism(tmp_path):
     resumed, flag = run_ensemble(
         _batch_config(tmp_path, "resumed", sim_max=200),
         gen_random_batch, sim_norm,
-        alloc=PersistentAlloc.resuming(prior.records), H0=prior)
+        alloc=PersistentAlloc(), H0=prior)
     assert flag == "sim_max"
 
     straight, flag = run_ensemble(

@@ -239,12 +239,6 @@ class TestLoadConfig:
         assert not cfg.persistent and cfg.alloc_name == "default"
         assert isinstance(cfg.make_alloc(), DefaultAlloc)
 
-    def test_resuming_alloc_carries_returned_ids(self, tmp_path):
-        cfg = load_config(write_doc(tmp_path, base_doc(tmp_path)))
-        prior = [record(0, [0, 0]), record(1, [0, 0], returned=False)]
-        alloc = cfg.make_alloc(prior_records=prior)
-        assert alloc.forwarded == {0}
-
     def test_flag_overrides_beat_document(self, tmp_path):
         path = write_doc(tmp_path, base_doc(tmp_path))
         cfg = load_config(path, nworkers=7, seed=42, comms="gen_on_manager",

@@ -41,7 +41,7 @@ def resume(ens_dir: str, H0: History) -> History:
     config = RunConfig(ensemble_dir=ens_dir, exit_criteria=ExitCriteria(sim_max=SIM_MAX),
                        **SETTINGS)
     hist, flag = run_ensemble(config, gen_random_batch, sim_norm,
-                              alloc=PersistentAlloc.resuming(H0.records), H0=H0)
+                              alloc=PersistentAlloc(), H0=H0)
     assert flag == "sim_max"
     return hist
 

@@ -64,6 +64,11 @@ def grid_1d():
     return CandidateGrid.build([0.0], [3.0], 4)  # points 0, 1, 2, 3
 
 
+def select(grid, variances, params, excluded=None):
+    """select_batch with an Exclusion of `excluded` points built for it."""
+    return select_batch(grid, variances, params, Exclusion(grid, excluded))
+
+
 # -- candidate grid -----------------------------------------------------
 
 
@@ -172,28 +177,25 @@ def params_for(b, r_init, r_min=1e-3, r_decay=0.5):
 def test_select_hand_trace():
     # Top pick index 0; index 1 is 1 away (rejected at r=2); index 3 is
     # 3 away (accepted); batch full.
-    idx, trace = select_batch(grid_1d(), [0.9, 0.8, 0.1, 0.7],
-                              params_for(2, 2.0))
+    idx, trace = select(grid_1d(), [0.9, 0.8, 0.1, 0.7], params_for(2, 2.0))
     assert idx == [0, 3]
     assert trace == [2.0, 2.0]
 
 
 def test_select_single_is_argmax():
-    idx, trace = select_batch(grid_1d(), [0.1, 0.3, 0.9, 0.2],
-                              params_for(1, 2.0))
+    idx, trace = select(grid_1d(), [0.1, 0.3, 0.9, 0.2], params_for(1, 2.0))
     assert idx == [2]
 
 
 def test_select_uniform_variances_tie_break_by_index():
-    idx, _ = select_batch(grid_1d(), [0.5] * 4, params_for(2, 0.5))
+    idx, _ = select(grid_1d(), [0.5] * 4, params_for(2, 0.5))
     assert idx == [0, 1]
 
 
 def test_select_fill_after_r_underflow():
     # r starts at 10 (one acceptance), decays straight below r_min, and
     # the rest is filled by variance rank.
-    idx, trace = select_batch(grid_1d(), [0.5] * 4,
-                              params_for(3, 10.0, r_min=9.0))
+    idx, trace = select(grid_1d(), [0.5] * 4, params_for(3, 10.0, r_min=9.0))
     assert idx == [0, 1, 2]
     assert trace == [10.0, 0.0, 0.0]
 
@@ -202,30 +204,27 @@ def test_select_excluded_point_blocks_by_distance():
     # An excluded point at 0.5 blocks grid points 0 and 1 at r=1 (both a
     # distance 0.5 away), so the first pass takes 3 then 2; the second
     # pass at r=0.5 finally admits 0.
-    idx, trace = select_batch(grid_1d(), [0.9, 0.8, 0.1, 0.7],
-                              params_for(3, 1.0, r_min=0.3),
-                              exclude=[[0.5]])
+    idx, trace = select(grid_1d(), [0.9, 0.8, 0.1, 0.7],
+                        params_for(3, 1.0, r_min=0.3), [[0.5]])
     assert idx == [3, 2, 0]
     assert trace == [1.0, 1.0, 0.5]
 
 
 def test_select_never_returns_exact_duplicate_of_excluded():
-    idx, _ = select_batch(grid_1d(), [0.9, 0.8, 0.7, 0.6],
-                          params_for(3, 10.0, r_min=9.0),
-                          exclude=[[1.0]])
+    idx, _ = select(grid_1d(), [0.9, 0.8, 0.7, 0.6],
+                    params_for(3, 10.0, r_min=9.0), [[1.0]])
     assert 1 not in idx
     assert idx == [0, 2, 3]
 
 
 def test_select_errors_when_grid_exhausted():
     with pytest.raises(GeneratorError, match="selectable"):
-        select_batch(grid_1d(), [0.1] * 4, params_for(4, 1.0),
-                     exclude=[[0.0], [2.0]])
+        select(grid_1d(), [0.1] * 4, params_for(4, 1.0), [[0.0], [2.0]])
 
 
 def test_select_variance_length_checked():
     with pytest.raises(GeneratorError, match="variances"):
-        select_batch(grid_1d(), [0.1] * 3, params_for(1, 1.0))
+        select(grid_1d(), [0.1] * 3, params_for(1, 1.0))
 
 
 def test_selection_params_invariants():
@@ -288,7 +287,7 @@ def large_select_instance(rng):
        for seed in range(20)]))
 def test_select_matches_reference_on_random_instances(seed, make):
     grid, variances, exclude, p = make(np.random.default_rng(seed))
-    got_idx, got_trace = select_batch(grid, variances, p, exclude=exclude)
+    got_idx, got_trace = select(grid, variances, p, exclude)
     want_idx, want_trace = reference_select(grid.points, variances,
                                             p.batch_size, p.r_initial,
                                             p.r_decay, p.r_min, exclude)
@@ -300,7 +299,7 @@ def test_select_matches_reference_on_random_instances(seed, make):
 def test_select_with_carried_exclusion_over_successive_batches(seed):
     # The generator's way: one Exclusion fed every sent batch (the picks
     # plus off-grid points, as a uniform re-probe sends), against the
-    # reference and a fresh selection given the full exclude list.
+    # reference and a fresh Exclusion of every point sent.
     rng = np.random.default_rng(300 + seed)
     grid = CandidateGrid.build(np.zeros(3), np.ones(3), 5)
     p = params_for(8, r_init=float(rng.uniform(0.5, 1.0)),
@@ -310,8 +309,7 @@ def test_select_with_carried_exclusion_over_successive_batches(seed):
     for _ in range(6):
         variances = np.round(rng.uniform(0, 1, len(grid.points)), 2)
         got_idx, got_trace = select_batch(grid, variances, p, exclude=carried)
-        assert (got_idx, got_trace) == select_batch(grid, variances, p,
-                                                    exclude=sent)
+        assert (got_idx, got_trace) == select(grid, variances, p, sent)
         want_idx, want_trace = reference_select(grid.points, variances,
                                                 p.batch_size, p.r_initial,
                                                 p.r_decay, p.r_min, sent)
@@ -336,7 +334,7 @@ def test_select_separation_invariant(seed):
     grid = CandidateGrid.build([0.0, 0.0], [1.0, 1.0], 6)
     variances = rng.uniform(0, 1, len(grid.points))
     p = params_for(6, r_init=0.7, r_min=1e-3)
-    idx, trace = select_batch(grid, variances, p)
+    idx, trace = select(grid, variances, p)
     assert len(idx) == len(set(idx)) == 6
     assert all(a >= b for a, b in zip(trace, trace[1:]))  # radius only decays
     r_final = trace[-1]
@@ -423,7 +421,7 @@ def test_loop_metrics_file(tmp_path):
     ctx, tag = run_loop(bowl, seed=5, n_batches=10,
                         params=loop_params(metrics_path=str(path),
                                            test_X=test_X, test_y=test_y))
-    assert tag == Tag.FINISHED_PERSISTENT_GEN
+    assert tag == Tag.PERSIS_STOP
     assert len(ctx.records) == 80
 
     with open(path, newline="") as fh:
@@ -500,7 +498,7 @@ def test_loop_nan_rows_are_excluded():
 
     path_free = run_loop(flaky, seed=9, n_batches=3, params=loop_params())
     ctx, tag = path_free
-    assert tag == Tag.FINISHED_PERSISTENT_GEN
+    assert tag == Tag.PERSIS_STOP
     nan_count = sum(1 for r in ctx.records if math.isnan(r.f))
     assert nan_count == 3
     assert len(ctx.records) == 24
@@ -515,7 +513,7 @@ def test_loop_all_nan_batch_reissues_uniform():
 
     ctx, tag = run_loop(dead_then_alive, seed=2, n_batches=4,
                         params=loop_params())
-    assert tag == Tag.FINISHED_PERSISTENT_GEN
+    assert tag == Tag.PERSIS_STOP
     # Two dead batches, then two live ones.
     assert len(ctx.records) == 32
     assert sum(1 for r in ctx.records if math.isnan(r.f)) == 16
@@ -527,7 +525,7 @@ def test_loop_all_nan_batch_reissues_uniform():
 
 def test_loop_immediate_stop():
     ctx, tag = run_loop(bowl, seed=1, n_batches=0, params=loop_params())
-    assert tag == Tag.FINISHED_PERSISTENT_GEN
+    assert tag == Tag.PERSIS_STOP
     assert ctx.records == []
 
 
@@ -574,7 +572,7 @@ def test_loop_restart_matches_uninterrupted(random_mode, dead):
     resumed = LoopbackContext(bowl_with_dead_batch(dead, first_sim=48),
                               seed=17, n_batches=4, preload=first.records)
     tag = gp_gen_loop([r.copy() for r in first.records], params, resumed)
-    assert tag == Tag.FINISHED_PERSISTENT_GEN
+    assert tag == Tag.PERSIS_STOP
 
     assert len(resumed.records) == len(full.records) == 80
     for ra, rb in zip(full.records, resumed.records):
@@ -584,33 +582,36 @@ def test_loop_restart_matches_uninterrupted(random_mode, dead):
 
 
 def test_loop_restart_with_outstanding_batch():
-    # The prior history ends with a batch that was generated but never
-    # evaluated: the resumed generator waits for it instead of creating
-    # a fresh one.
+    # The prior history ends with a batch that was generated but has not
+    # all returned: the resumed generator completes it with the records
+    # the manager forwards instead of creating a fresh one.
     params = loop_params()
     full, _ = run_loop(bowl, seed=23, n_batches=8, params=params)
-
     first, _ = run_loop(bowl, seed=23, n_batches=5, params=params)
-    history = [r.copy() for r in first.records]
-    # Fabricate the in-flight state: the 6th batch exists but has not
-    # returned. Its points must be what the model would pick, so take
-    # them from the uninterrupted run.
-    for rec in full.records[40:48]:
-        ghost = rec.copy()
-        ghost.f = math.nan
-        ghost.given = False
-        ghost.returned = False
-        ghost.sim_worker = None
-        ghost.given_time = ghost.returned_time = None
-        history.append(ghost)
 
-    resumed = LoopbackContext(bowl, seed=23, n_batches=3, preload=history)
-    tag = gp_gen_loop([r.copy() for r in history], params, resumed)
-    assert tag == Tag.FINISHED_PERSISTENT_GEN
-    assert len(resumed.records) == len(full.records) == 64
-    for ra, rb in zip(full.records, resumed.records):
-        np.testing.assert_array_equal(ra.x, rb.x)
-        assert ra.f == rb.f
+    for n_returned in (0, 3, 7):
+        history = [r.copy() for r in first.records]
+        # Fabricate the in-flight state: the 6th batch exists and only
+        # its first n_returned records have returned. Its points must be
+        # what the model would pick, so take them from the uninterrupted
+        # run.
+        for rec in full.records[40:48]:
+            rec = rec.copy()
+            if rec.sim_id >= 40 + n_returned:
+                rec.f = math.nan
+                rec.given = False
+                rec.returned = False
+                rec.sim_worker = None
+                rec.given_time = rec.returned_time = None
+            history.append(rec)
+
+        resumed = LoopbackContext(bowl, seed=23, n_batches=3, preload=history)
+        tag = gp_gen_loop([r.copy() for r in history], params, resumed)
+        assert tag == Tag.PERSIS_STOP
+        assert len(resumed.records) == len(full.records) == 64
+        for ra, rb in zip(full.records, resumed.records):
+            np.testing.assert_array_equal(ra.x, rb.x, err_msg=str(n_returned))
+            assert ra.f == rb.f, n_returned
 
 
 def test_loop_restart_appends_metrics(tmp_path):

@@ -368,6 +368,24 @@ class TestPersistence:
         assert row1[cols.index("given_time")] == "-"
         assert row1[cols.index("sim_worker")] == "-"
 
+    def test_numpy_float_cells_dump_as_python_floats(self, tmp_path):
+        def record(cast):
+            return EnsembleRecord(
+                sim_id=0, x=np.array([0.25, -1.0]), f=cast(1.5),
+                priority=cast(0.5), given=True, returned=True, sim_worker=2,
+                given_time=cast(0.125), returned_time=cast(2.0))
+
+        rows = []
+        for sub, cast in (("numpy", np.float64), ("python", float)):
+            h = History(2, start_time=5.0)
+            h.append(record(cast))
+            p = tmp_path / f"{sub}.tsv"
+            h.dump(p)
+            loaded = History.load(p)
+            assert records_equal(loaded.get(0), record(float), include_times=True)
+            rows.append(p.read_bytes().splitlines()[1])
+        assert rows[0] == rows[1]
+
     def test_sidecar_metadata(self, tmp_path):
         h = make_history(4)
         p = tmp_path / "h.tsv"

@@ -241,10 +241,10 @@ class TestSchedule:
 
     def test_insufficient_gpus_nonfatal_and_stateless(self):
         pool = make_pool([(8, 2)], 2)
-        free_before = pool.free_count()
+        free_before = sum(r.free for r in pool.rsets)
         with pytest.raises(InsufficientResources):
             pool.schedule(ResourceRequest(num_gpus=4))
-        assert pool.free_count() == free_before
+        assert sum(r.free for r in pool.rsets) == free_before
 
     def test_match_slots_refuses_disjoint_free_slots(self):
         pool = make_pool([(8, 8), (8, 8)], 8, match_slots=True)
@@ -289,9 +289,9 @@ class TestSchedule:
     def test_release_and_double_release(self):
         pool = make_pool([(8, 0)], 4)
         a = pool.schedule(ResourceRequest(num_procs=8))
-        assert pool.free_count() == 0
+        assert sum(r.free for r in pool.rsets) == 0
         pool.release(a)
-        assert pool.free_count() == 4
+        assert sum(r.free for r in pool.rsets) == 4
         with pytest.raises(ResourceError, match="double release"):
             pool.release(a)
 
@@ -353,4 +353,4 @@ class TestConservation:
             assert busy == set(claimed)
         for a in live:
             pool.release(a)
-        assert pool.free_count() == len(pool.rsets)
+        assert sum(r.free for r in pool.rsets) == len(pool.rsets)

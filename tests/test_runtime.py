@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from dynens.gp_generator import gp_gen_loop
 from dynens.history import GenPoint, History, histories_equal, records_equal
 from dynens.resources import Node, NodeInventory, ResourcePool
 from dynens.runtime import (
@@ -106,7 +107,6 @@ def counted_gen(history_in, params, ctx):
         tag, _ = ctx.send_recv(points)
         if tag in STOP_TAGS:
             return tag
-    return Tag.FINISHED_PERSISTENT_GEN
 
 
 def oneshot_gen(history_in, params, ctx):
@@ -175,7 +175,6 @@ def recording_gen(history_in, params, ctx):
     rows = [(r.sim_id, r.x.tolist(), r.f, r.returned) for r in history_in]
     with open(os.path.join(ctx.ensemble_dir, "history_in.pkl"), "wb") as fh:
         pickle.dump(rows, fh)
-    return Tag.FINISHED_PERSISTENT_GEN
 
 
 def scribbling_gen(history_in, params, ctx):
@@ -392,9 +391,13 @@ class TestPersistentAlloc:
         h = make_history(points=4)
         h.mark_given([0, 1], sim_worker=2, given_time=0.0)
         h.update_with_results([(0, 1.0), (1, 2.0)], returned_time=0.0)
-        alloc = PersistentAlloc.resuming(h.records)
-        alloc.started = True
-        # Only the fresh pair counts as outstanding.
+        alloc = PersistentAlloc()
+        # The start message carries the returned pair; only the
+        # unreturned pair counts as outstanding.
+        actions = alloc(HistoryView(h), idle_workers(3), None)
+        assert actions[0] == Work(target_worker=1, tag=Tag.EVAL_GEN,
+                                  persistent=True)
+        assert not any(isinstance(a, Forward) for a in actions)
         h.mark_given([2, 3], sim_worker=2, given_time=0.0)
         h.update_with_results([(2, 1.0), (3, 2.0)], returned_time=0.0)
         actions = alloc(HistoryView(h), persistent_states(), None)
@@ -906,8 +909,42 @@ class TestRunEnsemble:
         go("s1", 8, PersistentAlloc())
         H0 = History.load(str(tmp_path / "s1" / "history.tsv"))
         assert H0.returned_count() == 8
-        resumed, _ = go("s2", 16, PersistentAlloc.resuming(H0.records), H0)
+        resumed, _ = go("s2", 16, PersistentAlloc(), H0)
         assert histories_equal(ref, resumed)
+
+    def test_gp_restart_matches_uninterrupted_run(self, tmp_path):
+        """gp_gen_loop resumed with a plain PersistentAlloc() continues
+        record for record, from a whole dump and from one whose last
+        batch had returned only 3 of its 8 records when it was written."""
+        params = {"lb": [-1.0, -1.0], "ub": [1.0, 1.0], "batch_size": 8,
+                  "points_per_dim": 12}
+
+        def go(sub, sim_max, H0=None):
+            cfg = run_cfg(tmp_path, sub=sub, seed=7, gen_params=params,
+                          exit_criteria=ExitCriteria(sim_max=sim_max))
+            hist, flag = run_ensemble(cfg, gp_gen_loop, norm_sim,
+                                      alloc=PersistentAlloc(), H0=H0)
+            assert flag == "sim_max"
+            return hist
+
+        straight = go("straight", 96)
+        go("first", 48)
+        whole = History.load(str(tmp_path / "first" / "history.tsv"))
+        assert len(whole) == whole.returned_count() == 48
+        # The dump a crash leaves when sims 43-47 were still running.
+        torn = History(2, start_time=whole.start_time)
+        for rec in whole:
+            rec = rec.copy()
+            if rec.sim_id >= 43:
+                rec.f, rec.returned, rec.returned_time = math.nan, False, None
+            torn.append(rec)
+
+        for sub, H0 in (("whole", whole), ("torn", torn)):
+            resumed = go(sub, 96, H0)
+            assert len(resumed) == len(straight) == 96, sub
+            for a, b in zip(straight, resumed):
+                np.testing.assert_array_equal(a.x, b.x, err_msg=sub)
+                assert a.f == b.f, (sub, a.sim_id)
 
     def test_restart_rdispatches_interrupted_sims(self, tmp_path):
         cfg = run_cfg(tmp_path, sub="s1", gen_params=dict(GEN_BOX),
@@ -923,7 +960,7 @@ class TestRunEnsemble:
         cfg2 = run_cfg(tmp_path, sub="s2", gen_params=dict(GEN_BOX),
                        exit_criteria=ExitCriteria(sim_max=16))
         out, _ = run_ensemble(cfg2, random_batch_gen, norm_sim,
-                              alloc=PersistentAlloc.resuming(hist.records),
+                              alloc=PersistentAlloc(),
                               H0=hist, trace=trace)
         for sid in ids:
             rec = out.get(sid)
@@ -939,7 +976,7 @@ class TestRunEnsemble:
         cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX),
                       exit_criteria=ExitCriteria(stop_val=("f", 0.1)))
         hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
-                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  alloc=PersistentAlloc(),
                                   H0=H0, trace=trace)
         assert flag == "stop_val"
         assert [ev[0] for ev in trace] == ["adopt"] * 4 + ["stop"]
@@ -1013,7 +1050,7 @@ class TestRunEnsemble:
         cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX, batch_size=10),
                       exit_criteria=ExitCriteria(sim_max=2120), dump_every=20)
         hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
-                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  alloc=PersistentAlloc(),
                                   H0=H0)
         assert flag == "sim_max" and len(hist) >= 2120
 
@@ -1065,29 +1102,33 @@ class TestRunEnsemble:
             return real_is_returned(self, sim_id)
 
         cycles = [0]
+        forwarded = []
         real_call = PersistentAlloc.__call__
 
         def counting_call(self, view, workers, pool):
             cycles[0] += 1
-            return real_call(self, view, workers, pool)
+            actions = real_call(self, view, workers, pool)
+            forwarded.extend(sid for a in actions if isinstance(a, Forward)
+                             for sid in a.record_ids)
+            return actions
 
         monkeypatch.setattr(HistoryView, "is_returned", counting_is_returned)
         monkeypatch.setattr(PersistentAlloc, "__call__", counting_call)
 
-        alloc = PersistentAlloc.resuming(H0.records)
         cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX, batch_size=10),
                       exit_criteria=ExitCriteria(sim_max=2300))
         hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
-                                  alloc=alloc, H0=H0)
+                                  alloc=PersistentAlloc(), H0=H0)
         assert flag == "sim_max" and len(hist) >= 2300
 
         new = len(hist) - len(H0)
         assert len(tested) <= new + cycles[0]
         assert min(tested) >= len(H0)
-        forwarded = sorted(alloc.forwarded)
-        assert forwarded[:len(H0)] == list(range(len(H0)))
+        # H0's records went out with the start message, never forwarded.
+        assert forwarded == sorted(set(forwarded))
+        assert min(forwarded) >= len(H0)
         assert all(hist.get(sid).returned for sid in forwarded)
-        assert (len(forwarded) - len(H0)) % 10 == 0
+        assert len(forwarded) % 10 == 0
 
     def test_mode_equivalence(self, tmp_path):
         runs = []
@@ -1162,7 +1203,7 @@ class TestRunEnsemble:
         cfg2 = run_cfg(tmp_path, sub="resumed", gen_params=dict(GEN_BOX),
                        exit_criteria=ExitCriteria(sim_max=20))
         hist, flag = run_ensemble(cfg2, random_batch_gen, norm_sim,
-                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  alloc=PersistentAlloc(),
                                   H0=H0)
         assert flag == "sim_max"
         rec = hist.get(5)
@@ -1174,7 +1215,7 @@ class TestRunEnsemble:
         cfg = run_cfg(tmp_path, comms=comms,
                       exit_criteria=ExitCriteria(sim_max=50))
         hist, flag = run_ensemble(cfg, recording_gen, norm_sim,
-                                  alloc=PersistentAlloc.resuming(H0.records),
+                                  alloc=PersistentAlloc(),
                                   H0=H0)
         assert flag == "gen_finished" and hist.returned_count() == 5
         with open(tmp_path / "ens" / "history_in.pkl", "rb") as fh:
@@ -1192,7 +1233,7 @@ class TestRunEnsemble:
         cfg = run_cfg(tmp_path, comms="gen_on_manager",
                       exit_criteria=ExitCriteria(sim_max=5))
         hist, _ = run_ensemble(cfg, scribbling_gen, norm_sim,
-                               alloc=PersistentAlloc.resuming(H0.records),
+                               alloc=PersistentAlloc(),
                                H0=H0)
         assert len(hist) == 5 and hist.returned_count() == 5
         for sid in range(4):
@@ -1218,7 +1259,7 @@ class TestRunEnsemble:
                        exit_criteria=ExitCriteria(sim_max=12))
         t_before = time.time()
         hist, _ = run_ensemble(cfg2, random_batch_gen, stamping_sim,
-                               alloc=PersistentAlloc.resuming(H0.records),
+                               alloc=PersistentAlloc(),
                                H0=H0)
         first = hist.get(len(H0))
         wall = tmp_path / "s2" / f"worker{first.sim_worker}" / f"sim{first.sim_id}"

@@ -4,6 +4,9 @@ independent dense-linear-algebra oracles, then training behavior."""
 import copy
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 from scipy.spatial.distance import cdist
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, norm
 
 from dynens import surrogate
 from dynens.app.objective import make_objective
@@ -366,6 +369,29 @@ def test_crps_nonnegative_and_symmetric(y, mu, sigma):
     assert value >= 0.0
     mirrored = crps_gaussian(mu - (y - mu), mu, sigma)
     assert value == pytest.approx(mirrored, rel=1e-9, abs=1e-12)
+
+
+def test_crps_bit_equal_to_scipy_stats_reference():
+    rng = np.random.default_rng(12)
+    y = rng.uniform(-8.0, 8.0, 20001)
+    mean = rng.uniform(-1.0, 1.0, 20001)
+    sigma = rng.uniform(0.05, 2.0, 20001)
+    z = (y - mean) / sigma
+    want = sigma * (z * (2.0 * norm.cdf(z) - 1.0) + 2.0 * norm.pdf(z)
+                    - 1.0 / math.sqrt(math.pi))
+    np.testing.assert_array_equal(crps_gaussian(y, mean, sigma), want)
+
+
+def test_bundled_functions_do_not_import_scipy_stats():
+    # scipy.stats costs about a second to import, and every CLI run
+    # imports the bundled functions.
+    src = os.path.dirname(os.path.dirname(surrogate.__file__))
+    code = ("import sys, dynens.app.functions; "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_crps_grows_with_miss_distance():
