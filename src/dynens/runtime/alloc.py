@@ -102,7 +102,9 @@ class PersistentAlloc:
     at its start, and those it makes later, are forwarded. A scan cursor
     and the list of the generator's ids not yet forwarded let each call
     look only at records added since the last one; in batch mode a
-    second cursor skips the outstanding ids already seen returned.
+    second cursor skips the outstanding ids already seen settled. A
+    record cancelled before it was given never returns, so it settles
+    unforwarded and the rest of its batch goes on without it.
     """
 
     gen_worker: int = 1
@@ -111,7 +113,7 @@ class PersistentAlloc:
     _warned: set = field(default_factory=set)
     _scanned: int = 0
     _outstanding: list = field(default_factory=list)
-    _returned_prefix: int = 0  # batch mode: leading outstanding ids returned
+    _settled_prefix: int = 0  # batch mode: leading outstanding ids settled
 
     @classmethod
     def resuming(cls, records, gen_worker: int = 1, async_mode=False):
@@ -138,21 +140,25 @@ class PersistentAlloc:
                                                start=self._scanned)
             self._scanned = len(view)
             # Ids arrive in sim_id order, so every list here stays sorted.
+            # A settled id is returned, or was cancelled before it was
+            # given and so never returns: it leaves the list unforwarded.
             if self.async_mode:
-                ready = [sid for sid in outstanding if view.is_returned(sid)]
+                settled = [sid for sid in outstanding if view.is_settled(sid)]
             else:
-                # A record never un-returns: test each id until it has.
-                while (self._returned_prefix < len(outstanding)
-                       and view.is_returned(outstanding[self._returned_prefix])):
-                    self._returned_prefix += 1
-                ready = (outstanding if outstanding
-                         and self._returned_prefix == len(outstanding) else [])
-            if ready:
-                done = set(ready)
+                # A record never un-settles: test each id until it has.
+                while (self._settled_prefix < len(outstanding)
+                       and view.is_settled(outstanding[self._settled_prefix])):
+                    self._settled_prefix += 1
+                settled = (outstanding
+                           if self._settled_prefix == len(outstanding) else [])
+            if settled:
+                done = set(settled)
                 self._outstanding = [sid for sid in outstanding
                                      if sid not in done]
-                self._returned_prefix = 0
-                actions.append(Forward(self.gen_worker, tuple(ready)))
+                self._settled_prefix = 0
+                ready = tuple(sid for sid in settled if view.is_returned(sid))
+                if ready:
+                    actions.append(Forward(self.gen_worker, ready))
         _assign_sims(view, workers, pool, actions,
                      skip_worker=self.gen_worker, warned=self._warned)
         return actions

@@ -102,6 +102,11 @@ class HistoryView:
     def is_returned(self, sim_id: int) -> bool:
         return self._h.get(sim_id).returned
 
+    def is_settled(self, sim_id: int) -> bool:
+        """Returned, or cancelled before it was given, so it never returns."""
+        rec = self._h.get(sim_id)
+        return rec.returned or (rec.cancel_requested and not rec.given)
+
     def gen_record_ids(self, worker: int, start: int = 0) -> list[int]:
         """Ids of the records from sim_id `start` on that `worker` generated."""
         return [r.sim_id for r in self._h.records[start:] if r.gen_worker == worker]

@@ -7,15 +7,24 @@ analytic gradient, optionally after a seeded random search of the bounds
 box. Small and dense on purpose: ensembles at the scales this targets
 retrain on hundreds of points, not tens of thousands.
 
+Every kernel, on the training set or across to query points, comes from
+one formula: the squared input differences, one row per pair of points,
+times the inverse squared lengthscales give r², and k = σ² exp(-r²/2).
+
 Training evaluates the likelihood at tens to hundreds of parameter vectors
 θ on one training set, so the model caches at two levels. Per ``tell``: the
-pairwise input differences X_i - X_j, an (m, m, d) array. Per θ: the
-Cholesky factor, alpha, the noise-free kernel and the differences scaled by
-the lengthscales, kept until the data, the noise or θ actually changes
-(setting the same θ again keeps them). Beyond the factor itself the caches
-hold 2·m²·d + m² doubles, about 3.2 MB at m = 240 and d = 3. Every number
-is computed with the same floating-point operations in the same order as
-without them.
+squared differences (X_i - X_j)², an (m·m, d) array. Per θ: the Cholesky
+factor, alpha and the noise-free kernel, kept until the data, the noise or
+θ actually changes (setting the same θ again keeps them). Beyond the factor
+itself the caches hold m²·d + m² doubles, about 1.8 MB at m = 240 and
+d = 3. From the factor alone, the gradient takes K⁻¹ from LAPACK's dpotri
+and the posterior variance needs one triangular solve.
+
+The cached model and the same formulas evaluated without any cache agree
+bit for bit. Against the formulas before this layout (differences divided
+by the lengthscales, K⁻¹ and the variance by two triangular solves each)
+the likelihood, gradient and posterior agree within the tolerances that
+tests/test_surrogate.py states.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
@@ -74,14 +84,21 @@ class TrainResult:
 def squared_exponential(A: np.ndarray, B: np.ndarray,
                         signal_variance: float,
                         lengthscales: np.ndarray) -> np.ndarray:
-    """k(a, b) = signal_variance * exp(-1/2 sum_d ((a_d - b_d) / l_d)^2)."""
-    diff = (A[:, None, :] - B[None, :, :]) / lengthscales
-    return _kernel_of_scaled(diff, signal_variance)
+    """k(a, b) = signal_variance * exp(-1/2 sum_d (a_d - b_d)^2 / l_d^2)."""
+    K = _kernel_of_squared(_squared_differences(A, B), signal_variance,
+                           lengthscales)
+    return K.reshape(len(A), len(B))
 
 
-def _kernel_of_scaled(diff: np.ndarray, signal_variance: float) -> np.ndarray:
-    """The kernel from (a - b) / l laid out (i, j, d)."""
-    return signal_variance * np.exp(-0.5 * np.einsum("ijd,ijd->ij", diff, diff))
+def _squared_differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(a_i - b_j)^2 per dimension, one row per pair (i, j) in C order."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).reshape(-1, A.shape[1])
+
+
+def _kernel_of_squared(sq: np.ndarray, signal_variance: float,
+                       lengthscales: np.ndarray) -> np.ndarray:
+    """The kernel at each row of squared differences: r² = sq @ l⁻²."""
+    return signal_variance * np.exp(-0.5 * (sq @ lengthscales ** -2.0))
 
 
 def crps_gaussian(y, mean, sigma):
@@ -125,9 +142,9 @@ class GaussianProcess:
             raise SurrogateError("lengthscales must be positive, one per dimension")
         self.X = np.empty((0, input_dim))
         self.y = np.empty(0)
-        self._diffs = np.empty((0, 0, input_dim))  # X_i - X_j, set by tell
+        self._sq = np.empty((0, input_dim))  # (X_i - X_j)², set by tell
         self._cache: tuple | None = None  # (L, alpha, jitter) at this θ
-        self._kernel: tuple | None = None  # (Kf, scaled diffs), same θ
+        self._kernel: np.ndarray | None = None  # Kf, same θ
 
     # -- data ------------------------------------------------------------
 
@@ -144,7 +161,7 @@ class GaussianProcess:
     def tell(self, X: np.ndarray, y: np.ndarray) -> None:
         """Replace the training set (full refresh, not incremental).
 
-        Caches the pairwise differences X_i - X_j (m·m·d doubles) that
+        Caches the squared differences (X_i - X_j)² (m·m·d doubles) that
         every kernel evaluation on this set starts from, and drops the
         factorization.
         """
@@ -160,7 +177,7 @@ class GaussianProcess:
             raise SurrogateError("training data must be finite (filter NaN first)")
         self.X = X.copy()
         self.y = y.copy()
-        self._diffs = X[:, None, :] - X[None, :, :]
+        self._sq = _squared_differences(X, X)
         self._cache = None
 
     # -- parameters ------------------------------------------------------
@@ -191,25 +208,26 @@ class GaussianProcess:
     def _factorization(self):
         """Cholesky of K + noise*I, adding the first jitter level that works.
 
-        Also leaves the noise-free kernel and the scaled differences of
-        this θ in ``_kernel`` for ``lml_and_grad``.
+        Also leaves the noise-free kernel of this θ in ``_kernel`` for
+        ``lml_and_grad``.
         """
         if self._cache is not None:
             return self._cache
         m = self.n_train
-        diff = self._diffs / self.lengthscales
-        Kf = _kernel_of_scaled(diff, self.signal_variance)
+        Kf = _kernel_of_squared(self._sq, self.signal_variance,
+                                self.lengthscales).reshape(m, m)
         K = Kf.copy()
         K[np.diag_indices(m)] += self.noise_variance
         last = None
         for jitter in (0.0,) + JITTER_LADDER:
             try:
-                L = cholesky(K + jitter * np.eye(m) if jitter else K, lower=True)
+                L = cholesky(K + jitter * np.eye(m) if jitter else K,
+                             lower=True, check_finite=False)
             except LinAlgError as exc:
                 last = exc
                 continue
-            alpha = cho_solve((L, True), self.y)
-            self._kernel = (Kf, diff)
+            alpha = cho_solve((L, True), self.y, check_finite=False)
+            self._kernel = Kf
             self._cache = (L, alpha, jitter)
             return self._cache
         raise SurrogateError(
@@ -233,8 +251,8 @@ class GaussianProcess:
         Ks = squared_exponential(self.X, Xq, self.signal_variance,
                                  self.lengthscales)
         mean = Ks.T @ alpha
-        v = cho_solve((L, True), Ks)
-        var = self.signal_variance - np.einsum("ij,ij->j", Ks, v)
+        v = solve_triangular(L, Ks, lower=True)
+        var = self.signal_variance - np.einsum("ij,ij->j", v, v)
         return Posterior(mean, np.maximum(var, 0.0))
 
     def log_marginal_likelihood(self, theta: np.ndarray | None = None) -> float:
@@ -255,13 +273,19 @@ class GaussianProcess:
         no gradient entry."""
         lml = self.log_marginal_likelihood(theta)
         L, alpha, _ = self._factorization()
-        Kf, diff = self._kernel
-        Kinv = cho_solve((L, True), np.eye(self.n_train))
-        inner = np.outer(alpha, alpha) - Kinv
+        # dpotri fills the lower triangle with K⁻¹'s and keeps L's zeros
+        # above. Summed against weights symmetric in (i, j), 2·tril - diag
+        # stands in for the whole inverse.
+        Kinv, _ = dpotri(L, lower=1)
+        Kinv *= 2.0
+        Kinv[np.diag_indices(self.n_train)] *= 0.5
+        # M_ij = Kf_ij (α_i α_j - K⁻¹_ij); dKf/dlog l_d = Kf ⊙ sq_d / l_d².
+        M = np.outer(alpha, alpha)
+        M -= Kinv
+        M *= self._kernel
         grad = np.empty(self.input_dim + 1)
-        grad[0] = 0.5 * np.sum(inner * Kf)
-        for d in range(self.input_dim):
-            grad[1 + d] = 0.5 * np.sum(inner * (Kf * diff[:, :, d] ** 2))
+        grad[0] = 0.5 * np.sum(M)
+        grad[1:] = 0.5 * (M.reshape(-1) @ self._sq) * self.lengthscales ** -2.0
         return lml, grad
 
     # -- training --------------------------------------------------------

@@ -141,6 +141,16 @@ def cancelling_gen(history_in, params, ctx):
     return tag
 
 
+def withdrawing_gen(history_in, params, ctx):
+    """Sends three points, at once cancels the last, which cannot have
+    been given yet, and saves the sim_ids of the batch it gets back."""
+    ctx.send([GenPoint(x) for x in ctx.rng.uniform(0, 1, (3, 2))])
+    ctx.request_cancel([2])
+    tag, recs = ctx.recv()
+    with open(os.path.join(ctx.ensemble_dir, "received.pkl"), "wb") as fh:
+        pickle.dump((tag, [r.sim_id for r in recs or []]), fh)
+
+
 def dying_sim(records, params, ctx):
     """Kills its own worker process on sim 5."""
     if any(r.sim_id == 5 for r in records):
@@ -377,6 +387,40 @@ class TestPersistentAlloc:
         assert actions == [Forward(1, (0, 1, 2))]
         # Second call: everything already forwarded.
         assert alloc(HistoryView(h), persistent_states(), None) == []
+
+    def test_batch_forwarded_without_a_record_cancelled_before_given(self):
+        alloc = PersistentAlloc(started=True)
+        h = make_history(points=3)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.0)
+        h.mark_cancel([2])
+        assert alloc(HistoryView(h), persistent_states(), None) == []
+        h.update_with_results([(0, 1.0), (1, 2.0)], returned_time=0.0)
+        actions = alloc(HistoryView(h), persistent_states(), None)
+        assert actions == [Forward(1, (0, 1))]
+        assert alloc(HistoryView(h), persistent_states(), None) == []
+
+    def test_cancelled_running_record_still_awaited(self):
+        # Given before the cancel, it comes back (killed, as NaN).
+        alloc = PersistentAlloc(started=True)
+        h = make_history(points=2)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.0)
+        h.mark_cancel([1])
+        h.update_with_results([(0, 1.0)], returned_time=0.0)
+        assert alloc(HistoryView(h), persistent_states(), None) == []
+        h.update_with_results([(1, float("nan"))], returned_time=0.0)
+        actions = alloc(HistoryView(h), persistent_states(), None)
+        assert actions == [Forward(1, (0, 1))]
+
+    def test_async_drops_a_record_cancelled_before_given(self):
+        alloc = PersistentAlloc(started=True, async_mode=True)
+        h = make_history(points=2)
+        h.mark_cancel([0])
+        h.mark_given([1], sim_worker=2, given_time=0.0)
+        assert alloc(HistoryView(h), persistent_states(), None) == []
+        h.update_with_results([(1, 2.0)], returned_time=0.0)
+        assert alloc(HistoryView(h), persistent_states(), None) == [Forward(1, (1,))]
+        # Nothing is left to test on later calls.
+        assert alloc._outstanding == []
 
     def test_async_forwards_singles(self):
         alloc = PersistentAlloc(started=True, async_mode=True)
@@ -1082,7 +1126,7 @@ class TestRunEnsemble:
     def test_batch_forwarding_tests_each_id_until_it_returns(self, tmp_path,
                                                              monkeypatch):
         """Counts, not timings: on a 2000-record resume the allocator asks
-        whether a record has returned at most once per new record plus
+        whether a record has settled at most once per new record plus
         once per cycle, and forwards only returned records, in batches."""
         rng = np.random.default_rng(4)
         H0 = History(2, start_time=0.0)
@@ -1095,11 +1139,11 @@ class TestRunEnsemble:
                 [(sid, float(np.linalg.norm(X[sid]))) for sid in ids], 0.0)
 
         tested = []
-        real_is_returned = HistoryView.is_returned
+        real_is_settled = HistoryView.is_settled
 
-        def counting_is_returned(self, sim_id):
+        def counting_is_settled(self, sim_id):
             tested.append(sim_id)
-            return real_is_returned(self, sim_id)
+            return real_is_settled(self, sim_id)
 
         cycles = [0]
         forwarded = []
@@ -1112,7 +1156,7 @@ class TestRunEnsemble:
                              for sid in a.record_ids)
             return actions
 
-        monkeypatch.setattr(HistoryView, "is_returned", counting_is_returned)
+        monkeypatch.setattr(HistoryView, "is_settled", counting_is_settled)
         monkeypatch.setattr(PersistentAlloc, "__call__", counting_call)
 
         cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX, batch_size=10),
@@ -1175,6 +1219,19 @@ class TestRunEnsemble:
             assert not other.cancel_requested
             assert other.f == pytest.approx(np.linalg.norm(other.x))
         validate_trace(trace)
+
+    def test_cancel_before_dispatch_does_not_stall_the_batch(self, tmp_path):
+        cfg = run_cfg(tmp_path, nworkers=2, sim_params={"seconds": 0.2},
+                      exit_criteria=ExitCriteria(sim_max=3, wallclock_max=10))
+        t0 = time.monotonic()
+        hist, flag = run_ensemble(cfg, withdrawing_gen, sleep_sim,
+                                  alloc=PersistentAlloc())
+        assert time.monotonic() - t0 < 3
+        assert flag == "gen_finished"
+        with open(tmp_path / "ens" / "received.pkl", "rb") as fh:
+            assert pickle.load(fh) == (Tag.RESULT, [0, 1])
+        rec = hist.get(2)
+        assert rec.cancel_requested and not rec.given and not rec.returned
 
     def test_work_for_a_busy_worker_is_refused(self, tmp_path):
         def double_booking_alloc(view, workers, pool):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.spatial.distance import cdist
 from scipy.stats import multivariate_normal, norm
 
@@ -508,14 +509,87 @@ def exactness_instance(seed):
     return NOISE_LEVELS[seed % 3], X, y, theta, queries, duplicated
 
 
-def exactness_outputs(cls, seed):
+def two_solve_posterior(model, Xq, kernel=uncached_squared_exponential):
+    """The posterior before the one-solve variance: by default the kernel
+    from differences divided by the lengthscales, and var = s² - Σ Ks ⊙
+    K⁻¹Ks with K⁻¹Ks by cho_solve."""
+    L, alpha, _ = model._factorization()
+    Ks = kernel(model.X, Xq, model.signal_variance, model.lengthscales)
+    v = cho_solve((L, True), Ks)
+    var = model.signal_variance - np.einsum("ij,ij->j", Ks, v)
+    return surrogate.Posterior(Ks.T @ alpha, np.maximum(var, 0.0))
+
+
+def squared_difference_kernel(A, B, signal_variance, lengthscales):
+    sq = ((A[:, None, :] - B[None, :, :]) ** 2).reshape(-1, A.shape[1])
+    K = signal_variance * np.exp(-0.5 * (sq @ lengthscales ** -2.0))
+    return K.reshape(len(A), len(B))
+
+
+class UncachedPotriGP(GaussianProcess):
+    """The model's formulas written out without any cache: the squared
+    differences and the kernel rebuilt from X for every θ and again in
+    the gradient, K⁻¹ from dpotri, the variance from one triangular
+    solve, and every parameter change dropping the factorization. The
+    cached model must reproduce these bit for bit."""
+
+    def set_log_params(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        self.signal_variance = float(np.exp(theta[0]))
+        self.lengthscales = np.exp(theta[1:]).copy()
+        self._cache = None
+
+    def _factorization(self):
+        if self._cache is not None:
+            return self._cache
+        m = self.n_train
+        K = squared_difference_kernel(self.X, self.X, self.signal_variance,
+                                      self.lengthscales)
+        K[np.diag_indices(m)] += self.noise_variance
+        for jitter in (0.0,) + JITTER_LADDER:
+            try:
+                L = cholesky(K + jitter * np.eye(m), lower=True)
+            except LinAlgError:
+                continue
+            self._cache = (L, cho_solve((L, True), self.y), jitter)
+            return self._cache
+        raise SurrogateError("covariance not factorizable")
+
+    def lml_and_grad(self, theta):
+        lml = self.log_marginal_likelihood(theta)
+        L, alpha, _ = self._factorization()
+        m, d = self.X.shape
+        Kf = squared_difference_kernel(self.X, self.X, self.signal_variance,
+                                       self.lengthscales)
+        tril, info = dpotri(L, lower=1)
+        assert info == 0
+        Kinv = 2.0 * tril
+        Kinv[np.diag_indices(m)] *= 0.5
+        inner = Kf * (np.outer(alpha, alpha) - Kinv)
+        sq = ((self.X[:, None, :] - self.X[None, :, :]) ** 2).reshape(-1, d)
+        grad = np.empty(d + 1)
+        grad[0] = 0.5 * np.sum(inner)
+        grad[1:] = 0.5 * (inner.reshape(-1) @ sq) * self.lengthscales ** -2.0
+        return lml, grad
+
+    def posterior(self, Xq):
+        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+        L, alpha, _ = self._factorization()
+        Ks = squared_difference_kernel(self.X, Xq, self.signal_variance,
+                                       self.lengthscales)
+        v = solve_triangular(L, Ks, lower=True)
+        var = self.signal_variance - np.einsum("ij,ij->j", v, v)
+        return surrogate.Posterior(Ks.T @ alpha, np.maximum(var, 0.0))
+
+
+def exactness_outputs(cls, seed, posterior=None):
     noise, X, y, theta, queries, duplicated = exactness_instance(seed)
     model = cls(X.shape[1], noise_variance=noise)
     model.tell(X, y)
     lml = model.log_marginal_likelihood(theta)
     jitter = model._factorization()[2]
     lml_g, grad = model.lml_and_grad(theta)
-    post = model.posterior(queries)
+    post = (posterior or cls.posterior)(model, queries)
     local = model.train("local")
     theta_local = model.get_log_params()
     glob = theta_glob = None
@@ -533,13 +607,98 @@ def exactness_outputs(cls, seed):
 def test_cached_model_is_bit_identical_to_uncached_formulas(seed, caplog):
     with caplog.at_level(logging.ERROR, logger="dynens.surrogate"):
         got = exactness_outputs(GaussianProcess, seed)
-        want = exactness_outputs(UncachedGP, seed)
+        want = exactness_outputs(UncachedPotriGP, seed)
     if got["duplicated"] and got["noise"] == 0.0:
         assert got["jitter"] > 0.0
     for key in ("lml", "jitter", "lml_g", "local", "glob"):
         assert got[key] == want[key], key
     for key in ("grad", "mean", "var", "theta_local", "theta_glob"):
         assert np.array_equal(got[key], want[key]), key
+
+
+# Against the formulas before dpotri every value moves only by rounding,
+# which the conditioning of K amplifies: a backward-stable solve has a
+# relative forward error of about eps * cond(K). The 20 instances reach
+# 0.9 of that bound (grad, seed 0) with cond(K) from 2e2 to 4e12, so ten
+# times it leaves room. A train may end at another point of a flat ridge;
+# it must not end lower than the reference by more than 1e-9 relative.
+OLD_FORMULA_COND_FACTOR = 10.0
+OLD_FORMULA_TRAIN_RTOL = 1e-9
+
+
+def condition_number(seed):
+    noise, X, y, theta, _, _ = exactness_instance(seed)
+    model = UncachedGP(X.shape[1], noise_variance=noise)
+    model.tell(X, y)
+    model.set_log_params(theta)
+    L = model._factorization()[0]
+    return np.linalg.cond(L @ L.T)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cached_model_agrees_with_the_formulas_before_dpotri(seed, caplog):
+    with caplog.at_level(logging.ERROR, logger="dynens.surrogate"):
+        got = exactness_outputs(GaussianProcess, seed)
+        want = exactness_outputs(UncachedGP, seed,
+                                 posterior=two_solve_posterior)
+    assert got["jitter"] == want["jitter"]
+    rtol = OLD_FORMULA_COND_FACTOR * np.finfo(float).eps * condition_number(seed)
+    for key in ("lml", "grad", "mean", "var"):
+        scale = max(1.0, float(np.max(np.abs(want[key]))))
+        err = float(np.max(np.abs(np.subtract(got[key], want[key]))))
+        assert err <= rtol * scale, (key, err / scale, rtol)
+    for key in ("local", "glob"):
+        if want[key] is not None:
+            end = want[key].lml_end
+            assert got[key].lml_end >= end - OLD_FORMULA_TRAIN_RTOL * abs(end), key
+
+
+# -- the solves -------------------------------------------------------------
+
+
+def test_gradient_solves_no_matrix_right_hand_side(monkeypatch):
+    """K⁻¹ comes from dpotri on the factor: no solve in lml_and_grad has
+    a matrix right-hand side, the m×m identity in particular."""
+    rhs_shapes = []
+
+    def recording(solve):
+        def wrapped(a, b, *args, **kwargs):
+            rhs_shapes.append(np.shape(b))
+            return solve(a, b, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(surrogate, "cho_solve", recording(cho_solve))
+    monkeypatch.setattr(surrogate, "solve_triangular",
+                        recording(surrogate.solve_triangular))
+    model, theta = random_instance(3)
+    for step in range(3):
+        model.lml_and_grad(theta + 0.1 * step)
+    assert rhs_shapes == [(model.n_train,)] * 3
+
+
+VARIANCE_CASES = [(1, 2, 1e-4, False), (12, 2, 0.0, True)] + [
+    (30, d, 1e-4, False) for d in range(1, 6)]
+
+
+@pytest.mark.parametrize("m,d,noise,duplicated", VARIANCE_CASES)
+def test_one_solve_variance_matches_the_two_solve_form(m, d, noise,
+                                                       duplicated):
+    rng = np.random.default_rng([m, d])
+    X = rng.uniform(0, 1, (m, d))
+    if duplicated:
+        X[:m // 3] = X[m - m // 3:]
+    model = GaussianProcess(d, noise_variance=noise)
+    model.tell(X, np.sin(3.0 * X).sum(axis=1))
+    model.set_log_params(rng.uniform(-1, 1, d + 1))
+    queries = np.vstack([X[:3], rng.uniform(-0.5, 1.5, (40, d))])
+    _, var = model.posterior(queries)
+    assert (model._factorization()[2] > 0.0) == duplicated
+    # The same kernel, K⁻¹Ks by two triangular solves.
+    _, want = two_solve_posterior(model, queries, kernel=squared_exponential)
+    # Both subtract from s² a quantity in [0, s²]; rounding stays near
+    # eps * s² even when the jitter path factorized K.
+    np.testing.assert_allclose(var, want, rtol=0,
+                               atol=1e-12 * model.signal_variance)
 
 
 # -- the factorization cache ----------------------------------------------
