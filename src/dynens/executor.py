@@ -65,7 +65,8 @@ def build_runline(
 
     num_procs defaults to the assignment's total and num_gpus_per_node to
     its per-node GPU count; GPU ids are always the assignment's. Per-node
-    GPU counts and (for env settings) id lists must agree across nodes.
+    GPU counts, and id lists when an environment variable names the ids
+    (PlatformSpec.gpu_env_var), must agree across nodes.
     """
     procs = num_procs if num_procs is not None else assignment.total_procs
     n_nodes = len(assignment.nodes)
@@ -73,11 +74,12 @@ def build_runline(
         raise ExecutorError(f"nothing to launch: procs={procs}, nodes={n_nodes}")
     ppn = math.ceil(procs / n_nodes)
 
+    env_var = platform.gpu_env_var
     id_sets = {n.gpu_ids for n in assignment.nodes}
-    if len(id_sets) > 1 and platform.gpu_setting_type == "env":
+    if len(id_sets) > 1 and env_var:
         raise ExecutorError(
-            f"GPU ids differ across nodes {sorted(id_sets)}; an environment "
-            "setting needs identical ids (schedule with match_slots)"
+            f"GPU ids differ across nodes {sorted(id_sets)}; {env_var} "
+            "needs identical ids (schedule with match_slots)"
         )
     gpu_ids = assignment.nodes[0].gpu_ids
     if num_gpus_per_node is None:
@@ -106,18 +108,12 @@ def build_runline(
 
     env: dict[str, str] = {}
     if num_gpus_per_node > 0:
-        joined = ",".join(str(i) for i in gpu_ids)
-        if platform.gpu_setting_type == "env":
-            env[platform.gpu_setting_name] = joined
+        if env_var:
+            env[env_var] = ",".join(str(i) for i in gpu_ids)
         elif platform.gpu_setting_type == "option_gpus_per_node":
             argv += [platform.gpu_setting_name, str(num_gpus_per_node)]
-        else:  # runner_default
-            if runner == "srun":
-                argv += ["--gpus-per-node", str(num_gpus_per_node)]
-            elif platform.gpu_env_fallback:
-                # The runner has no GPU mechanism of its own: fall back to
-                # the platform's environment variable.
-                env[platform.gpu_env_fallback] = joined
+        elif runner == "srun":  # runner_default
+            argv += ["--gpus-per-node", str(num_gpus_per_node)]
 
     argv += list(extra_args)
     argv.append(app_path)
@@ -166,7 +162,7 @@ class Task:
     def runtime(self) -> float:
         if self.submit_time is None:
             return 0.0
-        end = self.end_time if self.end_time is not None else time.time()
+        end = self.end_time if self.end_time is not None else time.monotonic()
         return end - self.submit_time
 
     def _start(self) -> None:
@@ -188,7 +184,7 @@ class Task:
         except OSError as exc:
             self._close_files()
             raise ExecutorError(f"failed to launch {self.argv[0]!r}: {exc}") from exc
-        self.submit_time = time.time()
+        self.submit_time = time.monotonic()
         self.state = TaskState.RUNNING
 
     def _close_files(self) -> None:
@@ -215,7 +211,7 @@ class Task:
         except subprocess.TimeoutExpired:
             return self.state
         self.return_code = rc
-        self.end_time = time.time()
+        self.end_time = time.monotonic()
         self.state = TaskState.FINISHED if rc == 0 else TaskState.FAILED
         self._close_files()
         return self.state

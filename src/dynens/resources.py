@@ -2,7 +2,7 @@
 
 A node's CPU (and GPU) capacity is partitioned into equal resource sets, one
 per simulation worker. The scheduler hands out free resource sets against
-requests expressed in processes/nodes/GPUs, using an even split across the
+requests expressed in processes and GPUs, using an even split across the
 smallest workable number of nodes.
 """
 
@@ -14,7 +14,7 @@ import os
 import re
 import shutil
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -42,13 +42,10 @@ class PlatformSpec:
     mpi_runner: str = "mpich"        # grammar family: mpich|openmpi|srun|aprun|jsrun
     runner_name: str = ""            # executable; defaults per runner family
     cores_per_node: int = 1
-    logical_cores_per_node: int = 0  # 0: same as cores_per_node
     gpus_per_node: int = 0
-    tiles_per_gpu: int = 1
     gpu_setting_type: str = "runner_default"
     gpu_setting_name: str = ""       # env var or runner option, per setting type
     gpu_env_fallback: str = ""       # env var used when the runner has no GPU mechanism
-    scheduler_match_slots: bool = True
 
     def __post_init__(self):
         if self.mpi_runner not in _RUNNER_DEFAULT_NAMES:
@@ -67,8 +64,20 @@ class PlatformSpec:
             raise ResourceError("gpu_setting_type 'env' requires gpu_setting_name")
         if self.cores_per_node < 1:
             raise ResourceError("cores_per_node must be positive")
-        if self.logical_cores_per_node == 0:
-            self.logical_cores_per_node = self.cores_per_node
+
+    @property
+    def gpu_env_var(self) -> str:
+        """The environment variable through which a launch names GPU ids,
+        or "" when the runner takes a GPU count or nothing sets GPUs.
+
+        Such a variable holds one id list for the whole launch, so a
+        multi-node placement must use the same slot indices on every node.
+        """
+        if self.gpu_setting_type == "env":
+            return self.gpu_setting_name
+        if self.gpu_setting_type == "runner_default" and self.mpi_runner != "srun":
+            return self.gpu_env_fallback
+        return ""
 
 
 _RUNNER_DEFAULT_NAMES = {
@@ -94,23 +103,18 @@ def _known_platforms() -> dict[str, PlatformSpec]:
             mpi_runner="mpich",
             runner_name="mpiexec",
             cores_per_node=104,
-            logical_cores_per_node=208,
             gpus_per_node=6,
-            tiles_per_gpu=2,
             gpu_setting_type="env",
             gpu_setting_name="ZE_AFFINITY_MASK",
-            scheduler_match_slots=True,
         ),
         "frontier": PlatformSpec(
             name="frontier",
             mpi_runner="srun",
             runner_name="srun",
             cores_per_node=64,
-            logical_cores_per_node=128,
             gpus_per_node=8,
             gpu_setting_type="runner_default",
             gpu_env_fallback="ROCR_VISIBLE_DEVICES",
-            scheduler_match_slots=False,
         ),
     }
 
@@ -125,12 +129,6 @@ _RUNNER_PROBE = (
     ("aprun", "aprun"),
     ("mpiexec", "mpich"),
 )
-
-
-def _which(prog: str, path_value: str | None) -> str | None:
-    if path_value is None:
-        return shutil.which(prog)
-    return shutil.which(prog, path=path_value)
 
 
 def detect_platform(
@@ -157,7 +155,7 @@ def detect_platform(
     else:
         spec = known["generic"]
         for prog, runner in _RUNNER_PROBE:
-            if _which(prog, env.get("PATH")):
+            if shutil.which(prog, path=env.get("PATH")):
                 spec = replace(spec, mpi_runner=runner, runner_name=prog)
                 break
     if overrides:
@@ -260,14 +258,23 @@ def _read_nodefile(path: str) -> list[str]:
         return [ln.strip() for ln in fh if ln.strip()]
 
 
-def detect_nodes(
-    env: Mapping[str, str] | None = None,
-    fallback: NodeInventory | None = None,
-) -> NodeInventory:
+def _count_hosts(names: Sequence[str], local_cores: int) -> NodeInventory:
+    """One node per distinct name, in first-seen order. Repeated entries
+    encode one line per slot; a bare list does not carry core counts."""
+    counts: dict[str, int] = {}
+    for name in names:
+        counts[name] = counts.get(name, 0) + 1
+    repeated = any(c > 1 for c in counts.values())
+    return NodeInventory(
+        [Node(n, c if repeated else local_cores) for n, c in counts.items()]
+    )
+
+
+def detect_nodes(env: Mapping[str, str] | None = None) -> NodeInventory:
     """Build an inventory from scheduler environment variables.
 
-    Checks SLURM, PBS, Cobalt, then LSF conventions; falls back to the given
-    inventory, else to a single local node with the detected core count.
+    Checks SLURM, PBS, Cobalt, then LSF conventions; falls back to a single
+    local node with the detected core count.
     GPU counts are left at zero here; the configuration layer overlays the
     platform's gpus_per_node when it knows better.
     """
@@ -289,28 +296,12 @@ def detect_nodes(
             lines = _read_nodefile(nodefile)
             if not lines:
                 raise ResourceError(f"{var} file {nodefile!r} is empty")
-            counts: dict[str, int] = {}
-            for name in lines:
-                counts[name] = counts.get(name, 0) + 1
-            # Repeated entries encode one line per slot; a bare list means
-            # the file does not carry core counts.
-            repeated = any(c > 1 for c in counts.values())
-            return NodeInventory(
-                [Node(n, c if repeated else local_cores) for n, c in counts.items()]
-            )
+            return _count_hosts(lines, local_cores)
 
     lsb = env.get("LSB_HOSTS")
     if lsb:
-        counts = {}
-        for name in lsb.split():
-            counts[name] = counts.get(name, 0) + 1
-        repeated = any(c > 1 for c in counts.values())
-        return NodeInventory(
-            [Node(n, c if repeated else local_cores) for n, c in counts.items()]
-        )
+        return _count_hosts(lsb.split(), local_cores)
 
-    if fallback is not None:
-        return fallback
     return NodeInventory([Node("localhost", local_cores)])
 
 
@@ -406,26 +397,14 @@ def build_resource_sets(
 @dataclass
 class ResourceRequest:
     """What an evaluation wants. Unset fields are None; at least one of
-    num_procs, num_nodes, procs_per_node, num_gpus must be set."""
+    num_procs, num_gpus must be set."""
 
     num_procs: int | None = None
-    num_nodes: int | None = None
-    procs_per_node: int | None = None
     num_gpus: int | None = None
 
     def resolved(self) -> tuple[int, int]:
         """Returns (procs, gpus) with defaults applied."""
         procs = self.num_procs
-        if self.num_nodes and self.procs_per_node:
-            product = self.num_nodes * self.procs_per_node
-            if procs is not None and procs != product:
-                raise ResourceError(
-                    f"num_procs={procs} inconsistent with "
-                    f"num_nodes*procs_per_node={product}"
-                )
-            procs = product
-        elif self.procs_per_node and not self.num_nodes:
-            procs = procs or self.procs_per_node
         gpus = self.num_gpus or 0
         if procs is None:
             if gpus:
@@ -465,7 +444,7 @@ def _even_split(total: int, parts: int) -> list[int]:
 def schedule(
     rsets: Sequence[ResourceSet],
     inventory: NodeInventory,
-    request: ResourceRequest,
+    request: ResourceRequest | None = None,
     match_slots: bool = True,
 ) -> Assignment:
     """Pick free resource sets for a request and mark them busy.
@@ -474,10 +453,13 @@ def schedule(
     uses an even split (same slot count per node) over the fewest nodes that
     can take it, preferring one node; with match_slots the chosen nodes must
     use identical slot indices. Deterministic: lowest node indices, then
-    lowest slot indices. Raises InsufficientResources when it cannot be done
-    now (a retry after releases may succeed).
+    lowest slot indices. A request of None claims one whole resource set,
+    GPU-bearing or not, with all its cores and GPUs: the share of a worker
+    whose evaluation asks for nothing specific. Raises InsufficientResources
+    when it cannot be done now (a retry after releases may succeed).
     """
-    procs, gpus = request.resolved()
+    # None demands one set; the set's own cores and GPUs fill it below.
+    procs, gpus = (1, 0) if request is None else request.resolved()
 
     def attempt(eligible: list[ResourceSet]) -> Assignment:
         if not eligible:
@@ -498,28 +480,27 @@ def schedule(
         if not by_node:
             raise InsufficientResources("all eligible resource sets are busy")
 
-        if request.num_nodes:
-            k_candidates: Iterable[int] = [request.num_nodes]
-        else:
-            # The floor comes from full-node capacity; occupancy may then
-            # spread the request over more nodes.
-            k_min = max(1, -(-n_demand // max(capacity.values())))
-            k_max = min(len(by_node), n_demand)
-            k_candidates = range(k_min, k_max + 1)
-
-        for k in k_candidates:
+        # The floor comes from full-node capacity; occupancy may then
+        # spread the request over more nodes.
+        k_min = max(1, -(-n_demand // max(capacity.values())))
+        k_max = min(len(by_node), n_demand)
+        for k in range(k_min, k_max + 1):
             per_node = -(-n_demand // k)
             chosen = _choose_nodes(by_node, k, per_node, match_slots)
             if chosen is not None:
-                return _build_assignment(chosen, per_node, procs, gpus, inventory)
+                if request is None:
+                    rset = chosen[0][1][0]
+                    return _build_assignment(chosen, rset.cores, rset.gpus, inventory)
+                return _build_assignment(chosen, procs, gpus, inventory)
         raise InsufficientResources(
             f"cannot place {n_demand} resource set(s) "
             f"(procs={procs}, gpus={gpus}) on free capacity"
         )
 
-    if gpus:
-        eligible = [r for r in rsets if r.gpus > 0]
-        assignment = attempt(eligible)
+    if request is None:
+        assignment = attempt(list(rsets))
+    elif gpus:
+        assignment = attempt([r for r in rsets if r.gpus > 0])
     else:
         # Keep CPU work off GPU-bearing sets when it fits elsewhere.
         cpu_only = [r for r in rsets if r.gpus == 0]
@@ -558,7 +539,6 @@ def _choose_nodes(
 
 def _build_assignment(
     chosen: list[tuple[int, list[ResourceSet]]],
-    per_node: int,
     procs: int,
     gpus: int,
     inventory: NodeInventory,
@@ -601,26 +581,13 @@ class ResourcePool:
         self.rsets = build_resource_sets(inventory, num_workers, dedicated_gen)
         self.match_slots = match_slots
 
-    def schedule(self, request: ResourceRequest) -> Assignment:
+    def schedule(self, request: ResourceRequest | None = None) -> Assignment:
         return schedule(self.rsets, self.inventory, request,
                         match_slots=self.match_slots)
 
     def schedule_default(self) -> Assignment:
-        """Claim one resource set: the share a worker gets when the
-        evaluation itself asks for nothing specific."""
-        for rset in self.rsets:
-            if rset.free:
-                rset.free = False
-                node = AssignedNode(
-                    node_index=rset.node_index,
-                    name=self.inventory.nodes[rset.node_index].name,
-                    procs=rset.cores,
-                    gpu_ids=rset.gpu_ids,
-                )
-                return Assignment(rset_ids=(rset.rset_id,), nodes=[node],
-                                  total_procs=rset.cores,
-                                  total_gpus=len(rset.gpu_ids))
-        raise InsufficientResources("all resource sets are busy")
+        """Alias of schedule(None), kept for callers that wrap it by name."""
+        return self.schedule(None)
 
     def release(self, assignment: Assignment) -> None:
         for rid in assignment.rset_ids:

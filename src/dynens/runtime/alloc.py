@@ -55,8 +55,7 @@ def _assign_sims(view, workers, pool, actions, skip_worker=None,
                 # No explicit request still occupies one resource set: the
                 # per-worker share, which app-launching sims rely on.
                 try:
-                    assignment = (pool.schedule(request) if request is not None
-                                  else pool.schedule_default())
+                    assignment = pool.schedule(request)
                 except InsufficientResources as exc:
                     if warned is not None and record.sim_id not in warned:
                         log.warning("deferring sim %d: %s", record.sim_id, exc)

@@ -219,8 +219,10 @@ class _Manager:
 
         self.pool = None
         if config.inventory is not None:
-            match_slots = (config.platform.scheduler_match_slots
-                           if config.platform is not None else True)
+            # GPU ids named through an environment variable are one list
+            # for every node of a launch, so placements must match slots.
+            match_slots = (config.platform is None
+                           or bool(config.platform.gpu_env_var))
             self.pool = ResourcePool(config.inventory, config.nworkers,
                                      dedicated_gen=config.dedicated_gen,
                                      match_slots=match_slots)

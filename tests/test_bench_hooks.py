@@ -1,6 +1,7 @@
 """The benchmark's hooks into dynens: the traced benchmark wraps entry
 points by attribute name, where a rename or a move to a base class would
-silently drop its spans, and its workloads call the API by name."""
+silently drop its spans, its workloads call the API by name, and its
+self-check reproduces known defects through the resource layer."""
 
 import os
 
@@ -18,6 +19,13 @@ def tracer(monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracer
     return tracer
+
+
+@pytest.fixture
+def selfcheck(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import selfcheck
+    return selfcheck
 
 
 def test_every_layer_entry_point_is_defined_on_its_owner(tracer):
@@ -51,3 +59,10 @@ def test_resuming_alias_matches_the_constructor_on_a_resumed_run(tmp_path):
                History.load(str(tmp_path / "first" / "history.tsv")))
     assert aliased == plain
     assert len(plain) == 24
+
+
+def test_selfcheck_split_gpu_reproduction_runs(selfcheck):
+    """The self-check calls the scheduler and the executor directly; it must
+    report the defect (a string) or its fix (None), never crash."""
+    found = selfcheck.split_gpu_request_fails()
+    assert found is None or isinstance(found, str)

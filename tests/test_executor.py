@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import dynens.executor
 from dynens.executor import (
     Executor,
     ExecutorError,
@@ -79,6 +80,14 @@ class TestRunlineErrors:
         with pytest.raises(ExecutorError, match="match_slots"):
             build_runline(platform, a, "/bin/app")
 
+    def test_divergent_gpu_ids_with_fallback_variable(self):
+        platform = PlatformSpec(mpi_runner="mpich", gpu_setting_type="runner_default",
+                                gpu_env_fallback="FAKE_FALLBACK")
+        nodes = [AssignedNode(0, "a", 2, (0, 1)), AssignedNode(1, "b", 2, (2, 3))]
+        a = Assignment((0, 1), nodes, total_procs=4, total_gpus=4)
+        with pytest.raises(ExecutorError, match="FAKE_FALLBACK"):
+            build_runline(platform, a, "/bin/app")
+
     def test_divergent_gpu_counts(self):
         platform = PlatformSpec(mpi_runner="srun")
         nodes = [AssignedNode(0, "a", 2, (0, 1)), AssignedNode(1, "b", 2, (0,))]
@@ -90,6 +99,26 @@ class TestRunlineErrors:
         platform = PlatformSpec(mpi_runner="mpich")
         with pytest.raises(ExecutorError, match="nothing to launch"):
             build_runline(platform, assignment, "/bin/app", num_procs=0)
+
+
+@pytest.mark.parametrize("fallback", ["", "FAKE_FALLBACK"])
+@pytest.mark.parametrize("runner", ["mpich", "openmpi", "srun", "aprun", "jsrun"])
+@pytest.mark.parametrize("setting", ["env", "runner_default", "option_gpus_per_node"])
+def test_gpu_env_var_is_what_the_launch_sets(setting, runner, fallback):
+    platform = PlatformSpec(mpi_runner=runner, gpu_setting_type=setting,
+                            gpu_setting_name="--gpus" if setting.startswith("option")
+                            else "FAKE_VIS",
+                            gpu_env_fallback=fallback)
+    if setting == "env":
+        want = "FAKE_VIS"
+    elif setting == "runner_default" and runner != "srun":
+        want = fallback
+    else:
+        want = ""
+    assert platform.gpu_env_var == want
+    _, env = build_runline(platform, one_node_assignment(procs=2, gpu_ids=(0, 1)),
+                           "/bin/app")
+    assert env == ({want: "0,1"} if want else {})
 
 
 class TestSubmitResolution:
@@ -283,6 +312,15 @@ class TestPollingLoop:
         assert outcome is TaskOutcome.KILLED_ON_TIMEOUT
         assert timeout * 0.5 <= elapsed <= timeout + grace + 1.0
         assert not (tmp_path / "forces.stat").exists()
+
+    def test_timeout_ignores_wall_clock_steps(self, live_exec, tmp_path, monkeypatch):
+        task = live_exec.submit(
+            SubmitSpec(app="stub", app_args=("10", "1", "0.3")),
+            one_node_assignment(), str(tmp_path))
+        wall = time.time
+        monkeypatch.setattr(dynens.executor.time, "time", lambda: wall() + 3600)
+        outcome = polling_loop(task, timeout=30, poll_interval=0.05)
+        assert outcome is TaskOutcome.FINISHED
 
     def test_signals_checked_while_waiting(self, live_exec, tmp_path):
         task = live_exec.submit(

@@ -1,6 +1,8 @@
 """Platforms, node lists, resource-set partitioning, and scheduling."""
 
+import copy
 import os
+import random
 from math import ceil
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynens.resources import (
+    AssignedNode,
     Assignment,
     InsufficientResources,
     Node,
@@ -30,19 +33,19 @@ class TestPlatforms:
     def test_aurora_constants(self):
         p = detect_platform(env={}, name="aurora")
         assert p.mpi_runner == "mpich" and p.runner_name == "mpiexec"
-        assert p.cores_per_node == 104 and p.logical_cores_per_node == 208
-        assert p.gpus_per_node == 6 and p.tiles_per_gpu == 2
+        assert p.cores_per_node == 104
+        assert p.gpus_per_node == 6
         assert p.gpu_setting_type == "env" and p.gpu_setting_name == "ZE_AFFINITY_MASK"
-        assert p.scheduler_match_slots is True
+        assert p.gpu_env_var == "ZE_AFFINITY_MASK"
 
     def test_frontier_constants(self):
         p = detect_platform(env={}, name="frontier")
         assert p.mpi_runner == "srun" and p.runner_name == "srun"
-        assert p.cores_per_node == 64 and p.logical_cores_per_node == 128
+        assert p.cores_per_node == 64
         assert p.gpus_per_node == 8
         assert p.gpu_setting_type == "runner_default"
         assert p.gpu_env_fallback == "ROCR_VISIBLE_DEVICES"
-        assert p.scheduler_match_slots is False
+        assert p.gpu_env_var == ""
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ResourceError, match="aurora"):
@@ -122,10 +125,6 @@ class TestDetectNodes:
         inv = detect_nodes(env={"LSB_HOSTS": "h1 h1 h1 h2 h2 h2"})
         assert [(n.name, n.cores) for n in inv.nodes] == [("h1", 3), ("h2", 3)]
 
-    def test_fallback_inventory(self):
-        fb = NodeInventory([Node("x", 4)])
-        assert detect_nodes(env={}, fallback=fb) is fb
-
     def test_localhost_default(self):
         inv = detect_nodes(env={})
         assert len(inv) == 1 and inv.nodes[0].name == "localhost"
@@ -198,16 +197,6 @@ class TestSchedule:
         pool = make_pool([(12, 0)], 6)  # 6 rsets of 2 cores
         a = pool.schedule(ResourceRequest(num_procs=8))
         assert len(a.rset_ids) == 4 and a.total_procs == 8
-
-    def test_forced_node_count_splits_evenly(self):
-        pool = make_pool([(12, 0), (12, 0)], 12)  # 6 rsets of 2 cores per node
-        a = pool.schedule(ResourceRequest(num_procs=8, num_nodes=2))
-        assert [n.procs for n in a.nodes] == [4, 4]
-        per_node = {}
-        for r in pool.rsets:
-            if r.rset_id in a.rset_ids:
-                per_node[r.node_index] = per_node.get(r.node_index, 0) + 1
-        assert per_node == {0: 2, 1: 2}
 
     def test_gpu_request_defaults_procs_and_picks_ids(self):
         pool = make_pool([(8, 8)], 8)  # 8 slots, 1 gpu each
@@ -300,9 +289,69 @@ class TestSchedule:
         with pytest.raises(ResourceError, match="empty resource request"):
             pool.schedule(ResourceRequest())
 
-    def test_inconsistent_proc_fields_rejected(self):
-        with pytest.raises(ResourceError, match="inconsistent"):
-            ResourceRequest(num_procs=5, num_nodes=2, procs_per_node=3).resolved()
+
+def reference_schedule_default(pool):
+    """ResourcePool.schedule_default as it was before it became an alias of
+    schedule(None), frozen as the reference for the fold."""
+    for rset in pool.rsets:
+        if rset.free:
+            rset.free = False
+            node = AssignedNode(
+                node_index=rset.node_index,
+                name=pool.inventory.nodes[rset.node_index].name,
+                procs=rset.cores,
+                gpu_ids=rset.gpu_ids,
+            )
+            return Assignment(rset_ids=(rset.rset_id,), nodes=[node],
+                              total_procs=rset.cores,
+                              total_gpus=len(rset.gpu_ids))
+    raise InsufficientResources("all resource sets are busy")
+
+
+def random_pool(rng):
+    """1-4 nodes of mixed shapes, GPU-bearing or CPU-only, with a random
+    busy set: none, some, or all of the resource sets busy."""
+    nnodes = rng.randint(1, 4)
+    slots = rng.choice([1, 2, 4])
+    nodes = [(slots * rng.choice([1, 2, 3]), slots * rng.choice([0, 0, 1, 2]))
+             for _ in range(nnodes)]
+    pool = make_pool(nodes, nnodes * slots, match_slots=rng.random() < 0.5)
+    busy = rng.choice([0.0, 0.3, 0.7, 1.0])
+    for r in pool.rsets:
+        r.free = rng.random() >= busy
+    return pool
+
+
+class TestDefaultShareMatchesFrozenReference:
+    def test_seeded_sweep(self):
+        rng = random.Random(20260)
+        all_busy = 0
+        for _ in range(400):
+            pool = random_pool(rng)
+            ref = copy.deepcopy(pool)
+            all_busy += not any(r.free for r in pool.rsets)
+            # Claim until both refuse, comparing every step.
+            for _ in range(len(pool.rsets) + 1):
+                try:
+                    want = reference_schedule_default(ref)
+                except InsufficientResources:
+                    want = None
+                try:
+                    got = pool.schedule(None)
+                except InsufficientResources:
+                    got = None
+                assert got == want
+                assert [r.free for r in pool.rsets] == [r.free for r in ref.rsets]
+                if want is None:
+                    break
+        assert all_busy > 0
+
+    def test_alias_delegates(self):
+        pool = make_pool([(8, 0), (8, 4)], 4)
+        pool.rsets[0].free = False
+        a = pool.schedule_default()
+        assert a.rset_ids == (1,) and a.nodes[0].procs == 4
+        assert not pool.rsets[1].free
 
 
 class TestScheduleAgainstOracle:
