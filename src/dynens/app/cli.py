@@ -107,7 +107,8 @@ def _cmd_validate(args):
     print(f"{args.config}: ok")
     print(f"gen: {cfg.gen_name} "
           f"({'persistent' if cfg.persistent else 'one-shot'}), "
-          f"sim: {cfg.sim_name}, alloc: {cfg.alloc_name}"
+          f"sim: {cfg.sim_name}, "
+          f"alloc: {'persistent' if cfg.persistent else 'default'}"
           f"{' (async)' if cfg.async_mode else ''}")
     print(f"nworkers: {run.nworkers}, comms: {run.comms}, "
           f"n_dims: {run.n_dims}, seed: {run.seed}")

@@ -24,20 +24,19 @@ from ..resources import (
     load_inventory_file,
 )
 from ..runtime import DefaultAlloc, ExitCriteria, PersistentAlloc, RunConfig
-from .functions import ALLOCATORS, GENERATORS, SIMULATORS
+from .functions import GENERATORS, SIMULATORS
 
 CONFIG_VERSION = 1
 
 _TOP_KEYS = ("version", "ensemble", "exit", "platform", "inventory",
              "gen", "sim", "alloc")
-_ENSEMBLE_KEYS = ("nworkers", "comms", "ensemble_dir", "seed",
-                  "dedicated_gen", "dump_every")
+_ENSEMBLE_KEYS = ("nworkers", "comms", "ensemble_dir", "seed", "dump_every")
 _EXIT_KEYS = ("sim_max", "gen_max", "wallclock_max", "stop_val")
 _PLATFORM_KEYS = ("name", "overrides")
 _INVENTORY_KEYS = ("source", "path")
-_GEN_KEYS = ("function", "persistent", "user")
+_GEN_KEYS = ("function", "user")
 _SIM_KEYS = ("function", "error_policy", "user")
-_ALLOC_KEYS = ("function", "async")
+_ALLOC_KEYS = ("async",)
 
 
 class ConfigError(Exception):
@@ -116,15 +115,16 @@ class EnsembleConfig:
     run: RunConfig
     gen_name: str
     sim_name: str
-    alloc_name: str
     gen_fn: Callable
     sim_fn: Callable
     persistent: bool
     async_mode: bool = False
 
     def make_alloc(self):
-        """Fresh allocator for one run, a resumed one included."""
-        if self.alloc_name == "persistent":
+        """Fresh allocator for one run, a resumed one included. A
+        persistent generator needs the allocator that serves it; a
+        one-shot one is called afresh for each batch."""
+        if self.persistent:
             return PersistentAlloc(async_mode=self.async_mode)
         return DefaultAlloc()
 
@@ -246,11 +246,10 @@ def load_config(
         comms = _get_str(ens, "comms", "ensemble", default="local",
                          choices=("local", "gen_on_manager"))
     if seed is None:
-        seed = _get_int(ens, "seed", "ensemble", default=0)
+        seed = _get_int(ens, "seed", "ensemble", default=0, minimum=0)
     if ensemble_dir is None:
         ensemble_dir = _get_str(ens, "ensemble_dir", "ensemble",
                                 default="ensemble")
-    dedicated_gen = _get_bool(ens, "dedicated_gen", "ensemble", default=True)
     dump_every = _get_int(ens, "dump_every", "ensemble", minimum=1)
 
     exit_block = _mapping(doc.get("exit"), "exit")
@@ -283,13 +282,7 @@ def load_config(
     gen_block = _mapping(doc.get("gen"), "gen")
     _check_keys(gen_block, _GEN_KEYS, "gen")
     gen_name = _resolve_function(gen_block, GENERATORS, "generator", "gen")
-    gen_fn, registry_persistent = GENERATORS[gen_name]
-    persistent = _get_bool(gen_block, "persistent", "gen",
-                           default=registry_persistent)
-    if persistent != registry_persistent:
-        raise ConfigError(
-            f"gen.persistent: {gen_name!r} is "
-            f"{'persistent' if registry_persistent else 'one-shot'}")
+    gen_fn, persistent = GENERATORS[gen_name]
     gen_user = dict(_mapping(gen_block.get("user"), "gen.user"))
     lb = _get_box_edge(gen_user, "lb", "gen.user")
     ub = _get_box_edge(gen_user, "ub", "gen.user", n_dims=len(lb))
@@ -315,22 +308,15 @@ def load_config(
 
     alloc_block = _mapping(doc.get("alloc"), "alloc")
     _check_keys(alloc_block, _ALLOC_KEYS, "alloc")
-    alloc_name = _get_str(alloc_block, "function", "alloc",
-                          default="persistent" if persistent else "default",
-                          choices=ALLOCATORS)
     async_mode = _get_bool(alloc_block, "async", "alloc", default=False)
-    if persistent and alloc_name != "persistent":
+    if async_mode and not persistent:
         raise ConfigError(
-            f"alloc.function: persistent generator {gen_name!r} needs the "
-            f"persistent allocator")
-    if not persistent and alloc_name == "persistent":
+            f"alloc.async: streams results to a persistent generator; "
+            f"{gen_name!r} is one-shot")
+    if comms == "gen_on_manager" and not persistent:
         raise ConfigError(
-            f"alloc.function: one-shot generator {gen_name!r} needs the "
-            f"default allocator")
-    if comms == "gen_on_manager" and alloc_name != "persistent":
-        raise ConfigError(
-            "ensemble.comms: gen_on_manager hosts a persistent generator; "
-            "use a persistent gen/alloc pair")
+            f"ensemble.comms: gen_on_manager hosts a persistent generator; "
+            f"{gen_name!r} is one-shot")
 
     run_kwargs = dict(
         n_dims=len(lb),
@@ -343,7 +329,6 @@ def load_config(
         gen_params=gen_user,
         platform=platform_spec,
         inventory=inventory,
-        dedicated_gen=dedicated_gen,
         sim_error=sim_error,
         dry_run=dry_run,
     )
@@ -355,5 +340,5 @@ def load_config(
         raise ConfigError(str(exc)) from exc
 
     return EnsembleConfig(run=run, gen_name=gen_name, sim_name=sim_name,
-                          alloc_name=alloc_name, gen_fn=gen_fn, sim_fn=sim_fn,
-                          persistent=persistent, async_mode=async_mode)
+                          gen_fn=gen_fn, sim_fn=sim_fn, persistent=persistent,
+                          async_mode=async_mode)

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..executor import (DEFAULT_POLL_INTERVAL, SubmitSpec, TaskOutcome,
                         polling_loop)
-from ..gp_generator import gp_gen_loop
 from ..history import GenPoint
 from ..runtime import STOP_TAGS, Tag
 from .objective import make_objective
@@ -150,12 +149,19 @@ def sim_stub_app(records, params, ctx):
     return out
 
 
-# name -> (function, persistent)
+def gen_gp_active_learning(history_in, params, ctx):
+    """gp_gen_loop, imported on first call: the GP stack (scipy.linalg,
+    scipy.optimize) loads only for runs that use it."""
+    from ..gp_generator import gp_gen_loop
+    return gp_gen_loop(history_in, params, ctx)
+
+
+# name -> (function, persistent); the flag also picks the allocator.
 GENERATORS = {
     "random_batch": (gen_random_batch, True),
     "random_sample": (gen_random_sample, False),
     "gpu_bucket_batch": (gen_gpu_bucket_batch, True),
-    "gp_active_learning": (gp_gen_loop, True),
+    "gp_active_learning": (gen_gp_active_learning, True),
 }
 
 SIMULATORS = {
@@ -164,5 +170,3 @@ SIMULATORS = {
     "synthetic": sim_synthetic,
     "stub_app": sim_stub_app,
 }
-
-ALLOCATORS = ("default", "persistent")

@@ -123,17 +123,16 @@ def build_runline(
 
 @dataclass
 class SubmitSpec:
-    """One application launch request from a simulation function."""
+    """One application launch request from a simulation function. Its
+    time limit is polling_loop's timeout."""
 
     app: str
     app_args: tuple = ()
     num_procs: int | None = None
-    num_gpus: int | None = None
     auto_assign_gpus: bool = False
     match_procs_to_gpus: bool = False
     extra_args: tuple = ()
     env_script: str | None = None
-    timeout: float | None = None
 
 
 class Task:
@@ -289,14 +288,10 @@ class Executor:
         if not self.dry_run and not os.path.exists(path):
             raise ExecutorError(f"application path {path!r} does not exist")
 
-        gpus_total = None
-        if spec.auto_assign_gpus:
-            gpus_total = sum(len(n.gpu_ids) for n in assignment.nodes)
-        elif spec.num_gpus is not None:
-            gpus_total = spec.num_gpus
+        gpus_total = sum(len(n.gpu_ids) for n in assignment.nodes)
         n_nodes = len(assignment.nodes)
         gpn = None
-        if gpus_total is not None:
+        if spec.auto_assign_gpus:
             if gpus_total % n_nodes:
                 raise ExecutorError(
                     f"{gpus_total} gpus do not divide over {n_nodes} node(s)"
@@ -305,12 +300,9 @@ class Executor:
 
         procs = spec.num_procs
         if spec.match_procs_to_gpus:
-            total = gpus_total if gpus_total is not None else sum(
-                len(n.gpu_ids) for n in assignment.nodes
-            )
-            if total < 1:
+            if gpus_total < 1:
                 raise ExecutorError("match_procs_to_gpus with no GPUs assigned")
-            procs = total
+            procs = gpus_total
 
         argv, env = build_runline(
             self.platform,

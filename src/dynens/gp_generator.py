@@ -32,6 +32,14 @@ METRICS_COLUMNS = ("iteration", "n_train", "rmse_batch", "train_method",
                    "train_seconds", "select_seconds", "sim_seconds",
                    "mse_test", "mean_var", "max_var", "crps_test")
 
+# The keys gp_gen_loop reads from its params; any other key is an error.
+PARAM_KEYS = ("lb", "ub", "batch_size", "points_per_dim", "random_mode",
+              "metrics_path", "test_X", "test_y")
+
+# The observation noise standard deviation, as a fraction of the mean
+# |f| of the first batch with a finite result.
+NOISE_FRACTION = 0.01
+
 
 class GeneratorError(Exception):
     pass
@@ -73,17 +81,13 @@ class SelectionParams:
             raise GeneratorError("need 0 < r_min < r_initial")
 
     @classmethod
-    def for_bounds(cls, lb, ub, batch_size, r_decay=0.5):
+    def for_bounds(cls, lb, ub, batch_size):
         diag = float(np.linalg.norm(np.asarray(ub, float) - np.asarray(lb, float)))
-        return cls(batch_size, r_initial=diag / 2.0, r_decay=r_decay,
-                   r_min=diag / 1024.0)
+        return cls(batch_size, r_initial=diag / 2.0, r_min=diag / 1024.0)
 
 
 @dataclass(frozen=True)
 class CandidateGrid:
-    lb: np.ndarray
-    ub: np.ndarray
-    points_per_dim: int
     points: np.ndarray
 
     @classmethod
@@ -100,7 +104,7 @@ class CandidateGrid:
                 for d in range(len(lb))]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
-        return cls(lb, ub, points_per_dim, points)
+        return cls(points)
 
 
 def initial_sample(lb, ub, batch_size: int,
@@ -237,16 +241,15 @@ class _OnlineLearner:
     """Model-side state of the loop, shared by live processing and
     history replay so a restart lands in the same state."""
 
-    def __init__(self, grid, policy, seed):
+    def __init__(self, grid, seed):
         self.model = GaussianProcess(grid.points.shape[1])
-        self.policy = policy
+        self.policy = TrainingPolicy()
         self.seed = seed
         self.all_x: list[np.ndarray] = []
         self.all_y: list[float] = []
         self.sent = Exclusion(grid)
         self.noise_set = False
         self.iteration = 0
-        self.noise_fraction = 0.01
 
     def ingest(self, records: list[EnsembleRecord]):
         """Fold one returned batch in: drop NaNs, score the pre-update
@@ -256,7 +259,7 @@ class _OnlineLearner:
         y = np.array([r.f for r in records], dtype=float)
         valid = np.isfinite(y)
         if not self.noise_set and np.any(valid):
-            level = self.noise_fraction * float(np.mean(np.abs(y[valid])))
+            level = NOISE_FRACTION * float(np.mean(np.abs(y[valid])))
             self.model.set_noise_variance(level ** 2)
             self.noise_set = True
         if not np.any(valid):
@@ -310,26 +313,17 @@ class _OnlineLearner:
 
 
 def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
+    unknown = sorted(set(params) - set(PARAM_KEYS))
+    if unknown:
+        raise GeneratorError(
+            f"unknown parameter(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(PARAM_KEYS)}")
     lb = np.asarray(params["lb"], dtype=float)
     ub = np.asarray(params["ub"], dtype=float)
     n = len(lb)
     batch_size = int(params["batch_size"])
-    policy = TrainingPolicy(
-        full_factor=params.get("full_factor", 10.0),
-        reduced_factor=params.get("reduced_factor", 2.0),
-        full_iters=params.get("full_iters", 120),
-        reduced_iters=params.get("reduced_iters", 20),
-        allow_local=params.get("allow_local", True),
-    )
     grid = CandidateGrid.build(lb, ub, params.get("points_per_dim", 10))
-    defaults = SelectionParams.for_bounds(lb, ub, batch_size,
-                                          params.get("r_decay", 0.5))
-    sel = SelectionParams(
-        batch_size,
-        r_initial=params.get("r_initial", defaults.r_initial),
-        r_decay=defaults.r_decay,
-        r_min=params.get("r_min", defaults.r_min),
-    )
+    sel = SelectionParams.for_bounds(lb, ub, batch_size)
     random_mode = bool(params.get("random_mode", False))
     metrics_path = params.get("metrics_path")
     if params.get("test_X") is not None:
@@ -338,8 +332,7 @@ def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
     else:
         test_set = None
 
-    learner = _OnlineLearner(grid, policy, ctx.seed)
-    learner.noise_fraction = params.get("noise_fraction", 0.01)
+    learner = _OnlineLearner(grid, ctx.seed)
 
     def dispatch(X):
         points = [GenPoint(x=row) for row in np.atleast_2d(X)]

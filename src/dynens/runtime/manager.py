@@ -72,7 +72,6 @@ class RunConfig:
     gen_params: dict = field(default_factory=dict)
     platform: PlatformSpec | None = None
     inventory: NodeInventory | None = None
-    dedicated_gen: bool = True
     sim_error: str = "nan"
     dump_every: int = DUMP_EVERY
     dry_run: bool = False
@@ -80,6 +79,9 @@ class RunConfig:
     def __post_init__(self):
         if self.nworkers < 1:
             raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
+        if self.seed < 0:
+            # Worker rngs are seeded with seed + worker id; numpy refuses < 0.
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.comms not in ("local", "gen_on_manager"):
             raise ValueError(f"unknown comms mode {self.comms!r}")
         if self.sim_error not in ("nan", "abort"):
@@ -224,7 +226,7 @@ class _Manager:
             match_slots = (config.platform is None
                            or bool(config.platform.gpu_env_var))
             self.pool = ResourcePool(config.inventory, config.nworkers,
-                                     dedicated_gen=config.dedicated_gen,
+                                     dedicated_gen=True,
                                      match_slots=match_slots)
 
         self.states = {w: WorkerState(w) for w in range(1, config.nworkers + 1)}

@@ -228,7 +228,7 @@ class TestLoadConfig:
         assert run.n_dims == 2
         assert run.sim_error == "nan"
         assert run.exit_criteria.sim_max == 8
-        assert cfg.persistent and cfg.alloc_name == "persistent"
+        assert cfg.persistent
         assert run.gen_params["lb"] == [0.0, 0.0]
         assert isinstance(cfg.make_alloc(), PersistentAlloc)
 
@@ -236,7 +236,7 @@ class TestLoadConfig:
         doc = base_doc(tmp_path)
         doc["gen"]["function"] = "random_sample"
         cfg = load_config(write_doc(tmp_path, doc))
-        assert not cfg.persistent and cfg.alloc_name == "default"
+        assert not cfg.persistent
         assert isinstance(cfg.make_alloc(), DefaultAlloc)
 
     def test_flag_overrides_beat_document(self, tmp_path):
@@ -318,6 +318,13 @@ def _set(*keys_and_value):
     return mutate
 
 
+def _all(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+    return mutate
+
+
 CONFIG_ERRORS = [
     (_set("bogus", 1), "top level: unknown"),
     (_drop("version"), "version: expected 1"),
@@ -327,6 +334,9 @@ CONFIG_ERRORS = [
     (_set("ensemble", "nworkers", "five"), "ensemble.nworkers: expected an integer"),
     (_set("ensemble", "comms", "smoke"), "ensemble.comms: must be one of"),
     (_set("ensemble", "seed", 1.5), "ensemble.seed: expected an integer"),
+    (_set("ensemble", "seed", -5), "ensemble.seed: must be >= 0"),
+    (_set("ensemble", "dedicated_gen", True),
+     "ensemble: unknown key.*'dedicated_gen'"),
     (_drop("exit"), "exit: at least one"),
     (_set("exit", "sim_max", -1), "exit.sim_max: must be >= 0"),
     (_set("exit", "surprise", 1), "exit: unknown"),
@@ -342,8 +352,10 @@ CONFIG_ERRORS = [
     (_set("gen", "user", "ub", [0, 1]), "must exceed lb"),
     (_drop("gen", "user", "batch_size"), "gen.user.batch_size: required"),
     (_set("gen", "user", "batch_size", 0), "must be >= 1"),
-    (_set("gen", "persistent", False), "is persistent"),
-    (_set("alloc", "function", "default"), "needs the persistent allocator"),
+    (_set("gen", "persistent", False), "gen: unknown key.*'persistent'"),
+    (_set("alloc", "function", "default"), "alloc: unknown key.*'function'"),
+    (_all(_set("gen", "function", "random_sample"), _set("alloc", "async", True)),
+     "alloc.async: .* one-shot"),
     (_set("sim", "error_policy", "shrug"), "sim.error_policy: must be one of"),
     (_set("inventory", "path", "x.txt"), "only valid with source 'file'"),
     (_set("inventory", "source", "file"), "inventory.path: required"),
@@ -363,11 +375,16 @@ class TestConfigErrors:
             load_config(write_doc(tmp_path, doc))
 
     def test_one_shot_gen_with_persistent_alloc(self, tmp_path):
+        # The allocator follows from the generator; naming one is an error.
         doc = base_doc(tmp_path)
         doc["gen"]["function"] = "random_sample"
         doc["alloc"] = {"function": "persistent"}
-        with pytest.raises(ConfigError, match="needs the default allocator"):
+        with pytest.raises(ConfigError, match="alloc: unknown key.*'function'"):
             load_config(write_doc(tmp_path, doc))
+
+    def test_negative_seed_override(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
+            load_config(write_doc(tmp_path, base_doc(tmp_path)), seed=-5)
 
     def test_gen_on_manager_needs_persistent_pair(self, tmp_path):
         doc = base_doc(tmp_path)
@@ -434,6 +451,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "platform: generic (mpich)" in out
         assert "inventory: 1 node(s), 4 cores, 4 gpus" in out
+
+    @pytest.mark.parametrize("gen,alloc,line", [
+        ("random_batch", {}, "(persistent), sim: norm, alloc: persistent\n"),
+        ("random_batch", {"async": True},
+         "(persistent), sim: norm, alloc: persistent (async)\n"),
+        ("random_sample", {}, "(one-shot), sim: norm, alloc: default\n"),
+    ], ids=["persistent", "async", "one-shot"])
+    def test_validate_derives_the_allocator(self, tmp_path, capsys, gen,
+                                            alloc, line):
+        doc = base_doc(tmp_path, alloc=alloc)
+        doc["gen"]["function"] = gen
+        assert run_cli("validate", write_doc(tmp_path, doc)) == 0
+        assert f"gen: {gen} {line}" in capsys.readouterr().out
 
     def test_validate_reports_field_and_exits_2(self, tmp_path, capsys):
         doc = base_doc(tmp_path)

@@ -414,6 +414,13 @@ def run_loop(func, seed, n_batches, params, history_in=None, preload=None):
     return ctx, tag
 
 
+@pytest.mark.parametrize("key", ["full_factor", "noise_fraction", "lbb"])
+def test_loop_rejects_keys_it_does_not_read(key):
+    # A retired tuning key or a typo would otherwise be ignored silently.
+    with pytest.raises(GeneratorError, match=f"unknown parameter.*'{key}'"):
+        run_loop(bowl, seed=0, n_batches=2, params=loop_params(**{key: 1.0}))
+
+
 def test_loop_metrics_file(tmp_path):
     path = tmp_path / "metrics.csv"
     test_X = np.random.default_rng(1).uniform(0, 1, (20, 2))

@@ -384,15 +384,18 @@ def test_crps_bit_equal_to_scipy_stats_reference():
 
 
 def test_bundled_functions_do_not_import_scipy_stats():
-    # scipy.stats costs about a second to import, and every CLI run
-    # imports the bundled functions.
+    # scipy.stats costs about a second to import, and the GP stack half a
+    # second; every CLI run imports the bundled functions, and only GP
+    # runs need the GP stack.
     src = os.path.dirname(os.path.dirname(surrogate.__file__))
+    heavy = ["scipy.stats", "dynens.gp_generator", "dynens.surrogate",
+             "scipy.optimize", "scipy.linalg"]
     code = ("import sys, dynens.app.functions; "
-            "print('scipy.stats' in sys.modules)")
+            f"print([m for m in {heavy!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_crps_grows_with_miss_distance():
