@@ -295,6 +295,9 @@ def load_config(
         raise ConfigError("gen.user.batch_size: required")
     gen_user["lb"], gen_user["ub"] = lb, ub
     if gen_name == "gp_active_learning":
+        # Imported here: the GP stack is heavy, and only GP runs need it.
+        from ..gp_generator import PARAM_KEYS
+        _check_keys(gen_user, PARAM_KEYS, "gen.user")
         gen_user.setdefault("metrics_path",
                             os.path.join(ensemble_dir, "metrics.csv"))
 

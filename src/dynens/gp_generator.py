@@ -40,6 +40,10 @@ PARAM_KEYS = ("lb", "ub", "batch_size", "points_per_dim", "random_mode",
 # |f| of the first batch with a finite result.
 NOISE_FRACTION = 0.01
 
+# The factor by which select_batch shrinks its separation radius when no
+# candidate is far enough from the points already taken.
+R_DECAY = 0.5
+
 
 class GeneratorError(Exception):
     pass
@@ -49,14 +53,12 @@ class GeneratorError(Exception):
 class TrainingPolicy:
     """RMSE-to-effort mapping. A batch RMSE above full_factor standard
     deviations of the accumulated outputs triggers the full global search;
-    above reduced_factor, the reduced one; otherwise local refinement
-    (or the reduced global search where local training is disabled)."""
+    above reduced_factor, the reduced one; otherwise local refinement."""
 
     full_factor: float = 10.0
     reduced_factor: float = 2.0
     full_iters: int = 120
     reduced_iters: int = 20
-    allow_local: bool = True
 
     def __post_init__(self):
         if not self.full_factor > self.reduced_factor > 0:
@@ -67,14 +69,11 @@ class TrainingPolicy:
 class SelectionParams:
     batch_size: int
     r_initial: float
-    r_decay: float = 0.5
     r_min: float = 0.0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise GeneratorError("batch_size must be >= 1")
-        if not 0 < self.r_decay < 1:
-            raise GeneratorError("r_decay must lie in (0, 1)")
         # A zero floor would never terminate the decay loop and, fully
         # decayed, would stop separating anything from anything.
         if not 0 < self.r_min < self.r_initial:
@@ -126,9 +125,7 @@ def decide_training(rmse_val: float, std_y: float,
         return TrainMethod("global", policy.full_iters)
     if rmse_val > policy.reduced_factor * std_y:
         return TrainMethod("global", policy.reduced_iters)
-    if policy.allow_local:
-        return TrainMethod("local")
-    return TrainMethod("global", policy.reduced_iters)
+    return TrainMethod("local")
 
 
 class Exclusion:
@@ -163,7 +160,7 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
     Candidates are ranked by variance, descending (ties by index). Each
     keeps the distance to its nearest excluded or accepted point; the
     first-ranked candidate at distance >= r is accepted, and when none
-    is left r shrinks by r_decay. An accepted point sits at distance 0,
+    is left r shrinks by R_DECAY. An accepted point sits at distance 0,
     so it is never picked twice. Once r falls below r_min the batch is
     filled by pure variance rank, skipping exact duplicates of excluded
     points. ``exclude`` is an ``Exclusion`` of this grid. Returns the
@@ -193,7 +190,7 @@ def select_batch(grid: CandidateGrid, variances, params: SelectionParams,
     while len(picked) < params.batch_size and r >= params.r_min:
         j = int(np.argmax(near >= r))
         if near[j] < r:
-            r *= params.r_decay
+            r *= R_DECAY
             continue
         picked.append(j)
         trace.append(r)

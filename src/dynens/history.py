@@ -54,15 +54,13 @@ class GenPoint:
     """One point proposed for evaluation by a generator.
 
     priority steers dispatch order; num_procs/num_gpus are resource requests
-    (0 means unspecified). sim_id may be set explicitly but must then equal
-    the id the history would assign anyway.
+    (0 means unspecified). The history assigns the sim_id.
     """
 
     x: np.ndarray
     priority: float = 0.0
     num_procs: int = 0
     num_gpus: int = 0
-    sim_id: int | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -215,15 +213,10 @@ class History:
     def submit_points(self, points: Sequence[GenPoint], gen_worker: int) -> list[int]:
         """Append one record per point; returns the assigned sim_ids."""
         # Validate the whole batch before touching the table.
-        next_id = len(self.records)
         for i, p in enumerate(points):
             if p.x.shape != (self.n_dims,):
                 raise HistoryError(
                     f"point {i}: x has shape {p.x.shape}, expected ({self.n_dims},)"
-                )
-            if p.sim_id is not None and p.sim_id != next_id + i:
-                raise HistoryError(
-                    f"point {i}: explicit sim_id {p.sim_id} != next id {next_id + i}"
                 )
         ids = []
         for p in points:

@@ -87,8 +87,14 @@ class WorkerContext:
         return self._executor
 
     def sim_dir(self, sim_id: int) -> str:
-        return os.path.join(self.ensemble_dir,
-                            f"worker{self.worker_id}", f"sim{sim_id}")
+        """This worker's directory for sim_id, made on the call.
+
+        A sim that never asks for its directory leaves nothing on disk.
+        """
+        path = os.path.join(self.ensemble_dir, f"worker{self.worker_id}",
+                            f"sim{sim_id}")
+        os.makedirs(path, exist_ok=True)
+        return path
 
     def poll_signals(self) -> list[tuple[str, int | None]]:
         """Drain the inbox, which mid-simulation holds only KILL and STOP.
@@ -159,8 +165,6 @@ def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
     ctx.current_sim_ids = {r.sim_id for r in records}
     ctx.assignment = msg.work.assignment
     ctx.killed = []
-    for rec in records:
-        os.makedirs(ctx.sim_dir(rec.sim_id), exist_ok=True)
     try:
         fvals = sim_fn(records, ctx.config.sim_params, ctx)
         results = [(r.sim_id, float(v))

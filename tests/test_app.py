@@ -352,6 +352,9 @@ CONFIG_ERRORS = [
     (_set("gen", "user", "ub", [0, 1]), "must exceed lb"),
     (_drop("gen", "user", "batch_size"), "gen.user.batch_size: required"),
     (_set("gen", "user", "batch_size", 0), "must be >= 1"),
+    (_all(_set("gen", "function", "gp_active_learning"),
+          _set("gen", "user", "full_factor", 3)),
+     "gen.user: unknown key.*'full_factor'"),
     (_set("gen", "persistent", False), "gen: unknown key.*'persistent'"),
     (_set("alloc", "function", "default"), "alloc: unknown key.*'function'"),
     (_all(_set("gen", "function", "random_sample"), _set("alloc", "async", True)),

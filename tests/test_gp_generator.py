@@ -12,6 +12,7 @@ import pytest
 from dynens.gp_generator import (
     CandidateGrid,
     Exclusion,
+    R_DECAY,
     GeneratorError,
     SelectionParams,
     TrainingPolicy,
@@ -141,12 +142,6 @@ def test_decide_training_branch_table(ratio, name, iters):
         assert (method.name, method.max_iter) == (name, iters)
 
 
-def test_decide_training_local_disabled():
-    policy = TrainingPolicy(allow_local=False)
-    method = decide_training(0.0, 1.0, policy)
-    assert (method.name, method.max_iter) == ("global", 20)
-
-
 def test_decide_training_cold_start_goes_full():
     method = decide_training(float("inf"), 1.0, TrainingPolicy())
     assert (method.name, method.max_iter) == ("global", 120)
@@ -170,8 +165,8 @@ def test_policy_ordering_enforced():
 # -- batch selection ----------------------------------------------------
 
 
-def params_for(b, r_init, r_min=1e-3, r_decay=0.5):
-    return SelectionParams(b, r_initial=r_init, r_decay=r_decay, r_min=r_min)
+def params_for(b, r_init, r_min=1e-3):
+    return SelectionParams(b, r_initial=r_init, r_min=r_min)
 
 
 def test_select_hand_trace():
@@ -232,8 +227,6 @@ def test_selection_params_invariants():
         SelectionParams(1, r_initial=1.0, r_min=2.0)
     with pytest.raises(GeneratorError, match="r_min"):
         SelectionParams(1, r_initial=1.0, r_min=0.0)
-    with pytest.raises(GeneratorError, match="r_decay"):
-        SelectionParams(1, r_initial=1.0, r_decay=1.5, r_min=0.1)
     with pytest.raises(GeneratorError, match="batch_size"):
         SelectionParams(0, r_initial=1.0, r_min=0.1)
 
@@ -242,7 +235,7 @@ def test_selection_defaults_from_bounds():
     sel = SelectionParams.for_bounds([0.0, 0.0], [3.0, 4.0], 8)
     assert sel.r_initial == pytest.approx(2.5)
     assert sel.r_min == pytest.approx(5.0 / 1024.0)
-    assert sel.r_decay == 0.5
+    assert R_DECAY == 0.5
 
 
 def small_select_instance(rng):
@@ -258,8 +251,7 @@ def small_select_instance(rng):
     exclude = list(grid.points[rng.choice(len(grid.points), n_excl,
                                           replace=False)])
     b = int(rng.integers(1, min(5, len(grid.points) - n_excl) + 1))
-    p = params_for(b, r_init=float(rng.uniform(0.2, 2.0)),
-                   r_min=1e-3, r_decay=0.5)
+    p = params_for(b, r_init=float(rng.uniform(0.2, 2.0)), r_min=1e-3)
     return grid, variances, exclude, p
 
 
@@ -290,7 +282,7 @@ def test_select_matches_reference_on_random_instances(seed, make):
     got_idx, got_trace = select(grid, variances, p, exclude)
     want_idx, want_trace = reference_select(grid.points, variances,
                                             p.batch_size, p.r_initial,
-                                            p.r_decay, p.r_min, exclude)
+                                            R_DECAY, p.r_min, exclude)
     assert got_idx == want_idx
     assert got_trace == pytest.approx(want_trace)
 
@@ -312,7 +304,7 @@ def test_select_with_carried_exclusion_over_successive_batches(seed):
         assert (got_idx, got_trace) == select(grid, variances, p, sent)
         want_idx, want_trace = reference_select(grid.points, variances,
                                                 p.batch_size, p.r_initial,
-                                                p.r_decay, p.r_min, sent)
+                                                R_DECAY, p.r_min, sent)
         assert got_idx == want_idx
         assert got_trace == pytest.approx(want_trace)
         batch = list(grid.points[got_idx]) + list(rng.uniform(0, 1, (2, 3)))

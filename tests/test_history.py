@@ -37,16 +37,12 @@ class TestSubmit:
         h = make_history(7)
         assert [r.sim_id for r in h] == list(range(7))
 
-    def test_explicit_matching_ids_accepted(self):
-        h = History(1)
-        pts = [GenPoint(x=[0.0], sim_id=0), GenPoint(x=[1.0], sim_id=1)]
-        assert h.submit_points(pts, gen_worker=1) == [0, 1]
-
-    def test_explicit_mismatched_id_rejected(self):
+    def test_bad_point_rejects_whole_batch(self):
         h = make_history(3)
-        with pytest.raises(HistoryError, match="sim_id 7 != next id 3"):
-            h.submit_points([GenPoint(x=[0.0, 0.0], sim_id=7)], gen_worker=1)
-        assert len(h) == 3  # batch rejected atomically
+        pts = [GenPoint(x=[0.0, 0.0]), GenPoint(x=[0.0])]
+        with pytest.raises(HistoryError, match="point 1"):
+            h.submit_points(pts, gen_worker=1)
+        assert len(h) == 3
 
     def test_wrong_dimension_rejected(self):
         h = History(2)

@@ -81,6 +81,16 @@ def dir_checking_sim(records, params, ctx):
     return [0.0 for _ in records]
 
 
+def dir_twice_sim(records, params, ctx):
+    """1.0 where asking twice for a record's directory gave one path
+    that exists."""
+    out = []
+    for rec in records:
+        first, second = ctx.sim_dir(rec.sim_id), ctx.sim_dir(rec.sim_id)
+        out.append(float(first == second and os.path.isdir(first)))
+    return out
+
+
 def random_batch_gen(history_in, params, ctx):
     """Persistent uniform sampler; replays a prior history on restart."""
     lb = np.asarray(params["lb"], dtype=float)
@@ -627,9 +637,9 @@ class TestWorkerLoop:
         assert done.error is None and done.killed_ids == ()
         for sid, val in done.results:
             assert val == pytest.approx(np.linalg.norm(h.get(sid).x))
-        # Working directories exist before the sim runs.
-        assert (tmp_path / "worker2" / "sim0").is_dir()
-        assert (tmp_path / "worker2" / "sim1").is_dir()
+        # norm_sim never asks for a directory, so none is made.
+        assert not (tmp_path / "worker2" / "sim0").exists()
+        assert not (tmp_path / "worker2" / "sim1").exists()
         w.stop()
 
     def test_sim_exception_reports_nan_and_traceback(self, tmp_path):
@@ -1202,6 +1212,24 @@ class TestRunEnsemble:
         hist, _ = run_ensemble(cfg, random_batch_gen, dir_checking_sim,
                                alloc=PersistentAlloc())
         assert all(r.returned and r.f == 0.0 for r in hist)
+
+    @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
+    def test_sim_directories_only_on_request(self, tmp_path, comms):
+        cfg = run_cfg(tmp_path, sub="quiet", comms=comms,
+                      gen_params=dict(GEN_BOX))
+        hist, _ = run_ensemble(cfg, random_batch_gen, norm_sim,
+                               alloc=PersistentAlloc())
+        assert all(r.returned for r in hist)
+        assert not list((tmp_path / "quiet").glob("worker*"))
+
+        cfg = run_cfg(tmp_path, sub="asks", comms=comms,
+                      gen_params=dict(GEN_BOX))
+        hist, _ = run_ensemble(cfg, random_batch_gen, dir_twice_sim,
+                               alloc=PersistentAlloc())
+        assert [r.f for r in hist] == [1.0] * len(hist)
+        made = {p.relative_to(tmp_path / "asks").as_posix()
+                for p in (tmp_path / "asks").glob("worker*/sim*")}
+        assert made == {f"worker{r.sim_worker}/sim{r.sim_id}" for r in hist}
 
     def test_cancel_kills_running_sim(self, tmp_path):
         trace = []
