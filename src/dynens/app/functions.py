@@ -5,7 +5,9 @@ Generator calling convention: persistent generators receive
 (history_in, params, ctx) where ctx carries send/recv plus a seeded rng,
 and run until a stop tag; one-shot generators return a list of GenPoint.
 Simulators receive (records, params, ctx) and return one objective value
-per record.
+per record. The worker calls a simulator once per record, with a
+one-record list, even when one Work carries several records; an
+exception makes only that record NaN.
 """
 
 from __future__ import annotations

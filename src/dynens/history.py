@@ -1,7 +1,9 @@
 """Evaluation history: the record table an ensemble run accumulates.
 
 Every proposed point becomes one record with a dense, append-ordered sim_id.
-Flags only ever go False -> True; timestamps are seconds since the run started.
+Flags only ever go False -> True, except that History.withdraw clears
+`given` on a record that never started; timestamps are seconds since the
+run started.
 The on-disk format is a tab-separated table plus a small JSON sidecar, built to
 be greppable mid-run and to round-trip exactly. A running ensemble writes the
 full table at its first dump and at its end; the dumps in between append the
@@ -268,6 +270,20 @@ class History:
             rec.sim_worker = sim_worker
             rec.given_time = given_time
             self._pending.discard(sid)
+            self._touch(sid)
+
+    def withdraw(self, sim_ids: Iterable[int]) -> None:
+        """Take back given records that never started: no worker, no given
+        time, and pending again unless cancelled."""
+        for sid in sim_ids:
+            rec = self.get(sid)
+            if rec.returned:
+                raise HistoryError(f"sim_id {sid} withdrawn after it returned")
+            rec.given = False
+            rec.sim_worker = None
+            rec.given_time = None
+            if not rec.cancel_requested:
+                self._pending.add(sid)
             self._touch(sid)
 
     def update_with_results(self, results: Iterable[tuple[int, float]], returned_time: float) -> None:

@@ -6,7 +6,8 @@ ever see message copies. That centralization is what makes runs
 replayable: under fixed seeds and a deterministic allocator in batch
 mode, two runs produce the same records in every field except
 sim_worker and the two time columns. Those depend on timing: a sim goes
-to whichever worker is idle when the allocator runs.
+to whichever worker is idle when the allocator runs, in a pack whose
+size follows from how many records were pending then.
 
 Two comms modes share this loop. "local" starts one process per worker.
 "gen_on_manager" runs worker 1 as a thread inside the manager process
@@ -105,7 +106,8 @@ class HistoryView:
         return self._h.get(sim_id).returned
 
     def is_settled(self, sim_id: int) -> bool:
-        """Returned, or cancelled before it was given, so it never returns."""
+        """Returned, or cancelled before it was given or withdrawn from
+        its pack, so it never returns."""
         rec = self._h.get(sim_id)
         return rec.returned or (rec.cancel_requested and not rec.given)
 
@@ -253,11 +255,9 @@ class _Manager:
             r = rec.copy()
             if r.sim_id != pos:
                 raise EnsembleError(f"H0 sim_ids not dense at {r.sim_id}")
-            if r.given and not r.returned:
-                r.given = False
-                r.sim_worker = None
-                r.given_time = None
             self.history.append(r)
+            if r.given and not r.returned:
+                self.history.withdraw((r.sim_id,))
             if self.trace is not None:
                 self.trace.append(("adopt", r.sim_id, r.returned))
 
@@ -384,6 +384,10 @@ class _Manager:
             self._trace("kill", msg.killed_ids, msg.worker_id)
         self.history.update_with_results(msg.results, self._now())
         self._trace("result", (sid for sid, _ in msg.results), msg.worker_id)
+        # A record withdrawn from its pack by a cancel settles as if never
+        # given; one a STOP left unstarted stays given and reruns on resume.
+        self.history.withdraw([sid for sid in msg.unstarted
+                               if self.history.get(sid).cancel_requested])
         assignment = self.assignments.pop(msg.worker_id, None)
         if assignment is not None and self.pool is not None:
             self.pool.release(assignment)

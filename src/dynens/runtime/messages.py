@@ -162,9 +162,14 @@ class KillMsg:
 
 @dataclass
 class SimDone:
+    """A Work's answer: a result per record that ran, and apart from
+    them the records it never started (withdrawn by a KILL, or left by a
+    STOP)."""
+
     worker_id: int
     results: list[tuple[int, float]] = field(default_factory=list)
     killed_ids: tuple[int, ...] = ()
+    unstarted: tuple[int, ...] = ()
     error: str | None = None
 
 

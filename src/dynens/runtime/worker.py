@@ -56,10 +56,12 @@ class WorkerContext:
     """State a worker keeps across user-function calls.
 
     One context lives for the whole worker: the rng stream in particular
-    must advance across calls, never restart. current_sim_ids, assignment
-    and killed describe the simulation call in progress; simulator
-    functions append to `killed` when they end a run early (kill signal
-    or timeout) so the manager can flag those records.
+    must advance across calls, never restart. current_sim_ids (the one
+    record of the simulation call in progress), assignment and killed
+    describe the Work in progress; simulator functions append to `killed`
+    when they end a run early (kill signal or timeout) so the manager can
+    flag those records. `kills_seen` holds every sim_id a KILL named during
+    the Work, so a later record of its pack is withdrawn unstarted.
     """
 
     def __init__(self, worker_id: int, config: WorkerConfig, inbox):
@@ -71,6 +73,7 @@ class WorkerContext:
         self.current_sim_ids: set[int] = set()
         self.assignment = None
         self.killed: list[int] = []
+        self.kills_seen: set[int] = set()
         self.stopping = False
         self._inbox = inbox
         self._executor = None
@@ -101,8 +104,9 @@ class WorkerContext:
 
         Returns ("KILL", sim_id) and ("STOP", None) tuples in arrival
         order; kills for sims this worker is not running are still
-        reported and filtered by the caller. A STOP also sets `stopping`,
-        so the worker exits once the simulation has returned.
+        reported and filtered by the caller, and every kill is also kept
+        in `kills_seen`. A STOP also sets `stopping`, so the worker exits
+        once the simulation has returned.
         """
         signals: list[tuple[str, int | None]] = []
         while True:
@@ -111,6 +115,7 @@ class WorkerContext:
             except queue.Empty:
                 break
             if isinstance(msg, KillMsg):
+                self.kills_seen.update(msg.sim_ids)
                 signals.extend(("KILL", sid) for sid in msg.sim_ids)
             elif isinstance(msg, StopMsg):
                 self.stopping = True
@@ -161,25 +166,43 @@ class PersistentGenContext:
 
 
 def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
+    """Run a Work's records in order, one sim_fn call each.
+
+    The inbox is drained between records: a KILL for a later record,
+    drained here or earlier by the sim's own poll_signals, withdraws it
+    before it starts, and a STOP leaves the rest of the pack unstarted.
+    An exception makes only its own record NaN.
+    """
     records = msg.batch.records()
-    ctx.current_sim_ids = {r.sim_id for r in records}
     ctx.assignment = msg.work.assignment
     ctx.killed = []
-    try:
-        fvals = sim_fn(records, ctx.config.sim_params, ctx)
-        results = [(r.sim_id, float(v))
-                   for r, v in zip(records, fvals, strict=True)]
-        done = SimDone(ctx.worker_id, results, killed_ids=tuple(ctx.killed))
-    except Exception:
-        # The record set still needs an answer; NaN marks the failure and
-        # the manager decides whether that aborts the ensemble.
-        results = [(r.sim_id, float("nan")) for r in records]
-        done = SimDone(ctx.worker_id, results, killed_ids=tuple(ctx.killed),
-                       error=traceback.format_exc())
-    finally:
-        ctx.current_sim_ids = set()
-        ctx.assignment = None
-    outbox.send(done)
+    ctx.kills_seen = set()
+    results: list[tuple[int, float]] = []
+    unstarted: list[int] = []
+    errors: list[str] = []
+    for i, rec in enumerate(records):
+        if i:
+            ctx.poll_signals()
+            if ctx.stopping:
+                unstarted.extend(r.sim_id for r in records[i:])
+                break
+            if rec.sim_id in ctx.kills_seen:
+                unstarted.append(rec.sim_id)
+                continue
+        ctx.current_sim_ids = {rec.sim_id}
+        try:
+            (fval,) = sim_fn([rec], ctx.config.sim_params, ctx)
+            results.append((rec.sim_id, float(fval)))
+        except Exception:
+            # The record still needs an answer; NaN marks the failure and
+            # the manager decides whether that aborts the ensemble.
+            results.append((rec.sim_id, float("nan")))
+            errors.append(traceback.format_exc())
+    ctx.current_sim_ids = set()
+    ctx.assignment = None
+    outbox.send(SimDone(ctx.worker_id, results, killed_ids=tuple(ctx.killed),
+                        unstarted=tuple(unstarted),
+                        error="\n".join(errors) or None))
 
 
 def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, outbox, gen_fn) -> None:

@@ -156,6 +156,31 @@ class TestCancel:
         r = h.get(0)
         assert r.returned and math.isnan(r.f) and r.kill_sent
 
+    def test_withdrawn_cancelled_record_never_runs(self):
+        h = make_history(2)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.5)
+        h.mark_kill_sent(h.mark_cancel([1]))
+        h.withdraw([1])
+        r = h.get(1)
+        assert not r.given and r.sim_worker is None and r.given_time is None
+        assert r.cancel_requested and not r.returned
+        assert [p.sim_id for p in h.pending_sims()] == []
+
+    def test_withdrawn_uncancelled_record_is_pending_again(self):
+        h = make_history(2)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.5)
+        h.withdraw([0])
+        assert [p.sim_id for p in h.pending_sims()] == [0]
+        h.mark_given([0], sim_worker=3, given_time=1.0)
+        assert h.get(0).sim_worker == 3
+
+    def test_withdraw_after_return_rejected(self):
+        h = make_history(1)
+        h.mark_given([0], sim_worker=2, given_time=0.0)
+        h.update_with_results([(0, 1.0)], returned_time=1.0)
+        with pytest.raises(HistoryError, match="after it returned"):
+            h.withdraw([0])
+
 
 class TestFlagMonotonicity:
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=60))
@@ -234,7 +259,8 @@ def adopt(h: History) -> History:
 
 index_ops = st.one_of(
     st.tuples(st.just("submit"), st.integers(1, 4), st.sampled_from([0.0, 1.0, 2.0])),
-    st.tuples(st.sampled_from(["given", "cancel", "kill"]), st.integers(0, 40)),
+    st.tuples(st.sampled_from(["given", "cancel", "kill", "withdraw"]),
+              st.integers(0, 40)),
     st.tuples(st.just("result"), st.integers(0, 40),
               st.one_of(st.just(math.nan), st.floats(-5, 5))),
     st.tuples(st.sampled_from(["dump", "adopt", "load"])),
@@ -265,6 +291,8 @@ class TestIndexes:
                         h.mark_cancel([sid])
                     elif op[0] == "kill":
                         h.mark_kill_sent([sid])
+                    elif op[0] == "withdraw":
+                        h.withdraw([sid])
                     elif op[0] == "dump":
                         h.dump(path)
                     elif op[0] == "adopt":

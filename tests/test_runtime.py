@@ -3,6 +3,7 @@ the worker loop in isolation, and small live ensembles in both comms
 modes."""
 
 import dataclasses
+import heapq
 import logging
 import math
 import multiprocessing as mp
@@ -51,6 +52,7 @@ from dynens.runtime.messages import (
     WorkMsg,
     Work,
 )
+from dynens.runtime.worker import _run_sim
 
 # ---------------------------------------------------------------------------
 # user functions for live runs (module level so forked workers resolve them)
@@ -242,6 +244,70 @@ def stalling_sim(records, params, ctx):
     return out
 
 
+def costed_sim(records, params, ctx):
+    """Sleeps x0 seconds per record."""
+    for rec in records:
+        time.sleep(rec.x[0])
+    return [0.0 for _ in records]
+
+
+UNEVEN_COSTS = [0.2] * 4 + [0.02] * 4
+
+
+def uneven_gen(history_in, params, ctx):
+    """Sends UNEVEN_COSTS as one batch of costed_sim records, then the
+    reverse order, and saves each batch's send_recv round trip."""
+    rtts = []
+    for costs in (UNEVEN_COSTS, UNEVEN_COSTS[::-1]):
+        t0 = time.perf_counter()
+        tag, _ = ctx.send_recv([GenPoint([c, 0.0]) for c in costs])
+        rtts.append(time.perf_counter() - t0)
+        if tag in STOP_TAGS:
+            return tag
+    with open(os.path.join(ctx.ensemble_dir, "rtts.pkl"), "wb") as fh:
+        pickle.dump(rtts, fh)
+
+
+def entering_sim(records, params, ctx):
+    """Leaves an `entered<sim_id>` file in the ensemble directory per
+    record, then sleeps `seconds`; with `poll` it drains signals while it
+    sleeps, as a sim that watches for its own kill does."""
+    seconds = params.get("seconds", 0.2)
+    for rec in records:
+        open(os.path.join(ctx.ensemble_dir, f"entered{rec.sim_id}"), "w").close()
+        deadline = time.monotonic() + seconds
+        while params.get("poll") and time.monotonic() < deadline:
+            ctx.poll_signals()  # a kill for another record is not its own
+            time.sleep(0.01)
+        time.sleep(max(0.0, deadline - time.monotonic()))
+    return [0.0 for _ in records]
+
+
+def entered_ids(ens_dir):
+    return {int(p.name[len("entered"):]) for p in ens_dir.glob("entered*")}
+
+
+def pack_cancelling_gen(history_in, params, ctx):
+    """Sends four points, cancels sim 1 once sim 0 has started, and saves
+    the sim_ids of the batch it gets back."""
+    ctx.send([GenPoint(x) for x in ctx.rng.uniform(0, 1, (4, 2))])
+    deadline = time.monotonic() + 5
+    while (not os.path.exists(os.path.join(ctx.ensemble_dir, "entered0"))
+           and time.monotonic() < deadline):
+        time.sleep(0.005)
+    ctx.request_cancel([1])
+    tag, recs = ctx.recv()
+    with open(os.path.join(ctx.ensemble_dir, "received.pkl"), "wb") as fh:
+        pickle.dump((tag, [r.sim_id for r in recs or []]), fh)
+
+
+def picky_sim(records, params, ctx):
+    """norm_sim that raises on sim 1."""
+    if any(r.sim_id == 1 for r in records):
+        raise RuntimeError("sim 1 exploded")
+    return norm_sim(records, params, ctx)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -355,6 +421,24 @@ class TestDefaultAlloc:
         assert work.assignment is not None
         assert work.assignment.total_procs == 2
 
+    def test_packs_are_factored_in_priority_order(self):
+        h = make_history(points=9)
+        for sid in range(9):
+            h.get(sid).priority = float(sid % 3)
+        order = [r.sim_id for r in h.pending_sims()]
+        actions = DefaultAlloc()(HistoryView(h), idle_workers(2), None)
+        # ceil(9 / (2 * 2 workers)) = 3 consecutive records each.
+        assert [a.record_ids for a in actions] == [tuple(order[:3]),
+                                                   tuple(order[3:6])]
+        assert [a.target_worker for a in actions] == [1, 2]
+
+    def test_with_a_pool_each_record_goes_alone(self):
+        h = make_history(points=8)
+        pool = ResourcePool(NodeInventory([Node("n0", 4)]), 2)
+        actions = DefaultAlloc()(HistoryView(h), idle_workers(2), pool)
+        assert [a.record_ids for a in actions] == [(0,), (1,)]
+        assert all(a.assignment is not None for a in actions)
+
 
 # ---------------------------------------------------------------------------
 # persistent allocator
@@ -464,6 +548,15 @@ class TestPersistentAlloc:
         h.update_with_results([(0, 1.0), (1, 2.0)], returned_time=0.0)
         states = persistent_states(gen_status=WorkerStatus.IDLE)
         assert alloc(HistoryView(h), states, None) == []
+
+    def test_packs_count_only_sim_workers(self):
+        alloc = PersistentAlloc(started=True)
+        h = make_history(points=50)
+        actions = alloc(HistoryView(h), persistent_states(n_sim=2), None)
+        # ceil(50 / (2 * 2 sim workers)) = 13 records per idle sim worker.
+        assert [a.record_ids for a in actions] == [tuple(range(13)),
+                                                   tuple(range(13, 26))]
+        assert [a.target_worker for a in actions] == [2, 3]
 
     def test_sims_never_go_to_the_gen_worker(self):
         alloc = PersistentAlloc(started=True)
@@ -729,6 +822,65 @@ class TestWorkerLoop:
         assert done.killed_ids == ()
         assert "unexpected" not in caplog.text
         w.stop()
+
+    def test_error_in_a_pack_makes_only_its_record_nan(self, tmp_path):
+        w = ThreadedWorker(sim_fn=picky_sim, ensemble_dir=str(tmp_path))
+        h = make_history(points=3)
+        w.inbox.put(WorkMsg(sim_work((0, 1, 2)), RecordBatch.of(h.records)))
+        done = w.results.get(timeout=5)
+        assert [sid for sid, _ in done.results] == [0, 1, 2]
+        assert math.isnan(done.results[1][1])
+        for sid, val in (done.results[0], done.results[2]):
+            assert val == pytest.approx(np.linalg.norm(h.get(sid).x))
+        assert "sim 1 exploded" in done.error and done.unstarted == ()
+        w.stop()
+
+
+class SentList(list):
+    """An outbox that keeps what was sent."""
+
+    send = list.append
+
+
+class TestPackedWork:
+    """_run_sim on one Work of three records, with signals queued before
+    it starts, so the drain between records always finds them."""
+
+    def run_pack(self, *signals):
+        inbox = queue.Queue()
+        for msg in signals:
+            inbox.put(msg)
+        ctx = WorkerContext(2, WorkerConfig(), inbox)
+        entered, outbox = [], SentList()
+
+        def sim(records, params, ctx):
+            assert ctx.current_sim_ids == {records[0].sim_id}
+            entered.extend(r.sim_id for r in records)
+            return [float(r.sim_id) for r in records]
+
+        h = make_history(points=3)
+        _run_sim(ctx, WorkMsg(sim_work((0, 1, 2)), RecordBatch.of(h.records)),
+                 outbox, sim)
+        (done,) = outbox
+        return ctx, entered, done
+
+    def test_one_call_per_record(self):
+        ctx, entered, done = self.run_pack()
+        assert entered == [0, 1, 2] and done.unstarted == ()
+        assert done.results == [(0, 0.0), (1, 1.0), (2, 2.0)]
+        assert ctx.current_sim_ids == set()
+
+    def test_kill_withdraws_a_later_record(self):
+        ctx, entered, done = self.run_pack(KillMsg((1,)))
+        assert entered == [0, 2]
+        assert done.results == [(0, 0.0), (2, 2.0)] and done.unstarted == (1,)
+        assert not ctx.stopping
+
+    def test_stop_leaves_the_rest_unstarted(self):
+        ctx, entered, done = self.run_pack(StopMsg())
+        assert entered == [0]
+        assert done.results == [(0, 0.0)] and done.unstarted == (1, 2)
+        assert ctx.stopping
 
 
 class TestWorkerContext:
@@ -1260,6 +1412,108 @@ class TestRunEnsemble:
             assert pickle.load(fh) == (Tag.RESULT, [0, 1])
         rec = hist.get(2)
         assert rec.cancel_requested and not rec.given and not rec.returned
+
+    @pytest.mark.parametrize("poll", [False, True])
+    def test_cancel_inside_a_pack_withdraws_the_record(self, tmp_path, poll):
+        """One sim worker takes sims 0 and 1 as one pack; sim 1, cancelled
+        while sim 0 runs, never starts and settles like a record cancelled
+        before it was given. With `poll`, sim 0's own poll_signals drains
+        the KILL."""
+        trace = []
+        cfg = run_cfg(tmp_path, nworkers=2, sim_params={"poll": poll},
+                      exit_criteria=ExitCriteria(sim_max=4, wallclock_max=10))
+        t0 = time.monotonic()
+        hist, flag = run_ensemble(cfg, pack_cancelling_gen, entering_sim,
+                                  alloc=PersistentAlloc(), trace=trace)
+        assert time.monotonic() - t0 < 3
+        assert flag == "gen_finished"
+        ens = tmp_path / "ens"
+        assert entered_ids(ens) == {0, 2, 3}
+        with open(ens / "received.pkl", "rb") as fh:
+            assert pickle.load(fh) == (Tag.RESULT, [0, 2, 3])
+        rec = hist.get(1)
+        assert HistoryView(hist).is_settled(1)
+        assert rec.cancel_requested and not rec.given and not rec.returned
+        assert hist.returned_count() == 3
+        assert not [ev for ev in trace if ev[0] == "forward" and ev[1] == 1]
+        validate_trace(trace)
+
+    def test_uneven_costs_keep_the_batch_makespan(self, tmp_path):
+        """Packs of records costing 0.2 s and 0.02 s, in either order, end
+        a batch at most one longest sim after one record per Work would."""
+
+        def one_per_work(costs, workers):
+            free = [0.0] * workers  # a heap of the times workers free up
+            for c in costs:
+                heapq.heapreplace(free, free[0] + c)
+            return max(free)
+
+        cfg = run_cfg(tmp_path, nworkers=3,
+                      exit_criteria=ExitCriteria(sim_max=100, wallclock_max=20))
+        _, flag = run_ensemble(cfg, uneven_gen, costed_sim,
+                               alloc=PersistentAlloc())
+        assert flag == "gen_finished"
+        with open(tmp_path / "ens" / "rtts.pkl", "rb") as fh:
+            rtts = pickle.load(fh)
+        for costs, rtt in zip((UNEVEN_COSTS, UNEVEN_COSTS[::-1]), rtts,
+                              strict=True):
+            assert rtt <= one_per_work(costs, 2) + max(costs), (costs, rtt)
+
+    def test_error_in_a_pack_spares_its_pack_mates(self, tmp_path):
+        cfg = run_cfg(tmp_path, nworkers=2, gen_params=dict(GEN_BOX),
+                      exit_criteria=ExitCriteria(sim_max=4))
+        hist, flag = run_ensemble(cfg, random_batch_gen, picky_sim,
+                                  alloc=PersistentAlloc())
+        assert flag == "sim_max"
+        # One Work carried sims 0 and 1: one given stamp.
+        assert hist.get(0).given_time == hist.get(1).given_time
+        assert math.isnan(hist.get(1).f)
+        for rec in hist.records[:4]:
+            if rec.sim_id != 1:
+                assert rec.f == pytest.approx(np.linalg.norm(rec.x))
+
+        cfg = run_cfg(tmp_path, sub="abort", nworkers=2, sim_error="abort",
+                      gen_params=dict(GEN_BOX),
+                      exit_criteria=ExitCriteria(sim_max=4))
+        with pytest.raises(EnsembleError,
+                           match="worker 2 sim function failed") as err:
+            run_ensemble(cfg, random_batch_gen, picky_sim,
+                         alloc=PersistentAlloc())
+        assert "sim 1 exploded" in str(err.value)
+        dumped = History.load(str(tmp_path / "abort" / "history.tsv"))
+        assert math.isnan(dumped.get(1).f)
+        assert dumped.get(0).f == pytest.approx(np.linalg.norm(dumped.get(0).x))
+
+    def test_stop_during_a_pack_leaves_the_rest_to_resume(self, tmp_path):
+        """A run that ends mid-pack returns once the running sim is done;
+        the pack's unstarted records stay given and unreturned, and a
+        resume continues record for record."""
+        box = dict(GEN_BOX, batch_size=16)  # one pack of 8 0.5 s sims
+        cfg = run_cfg(tmp_path, sub="stopped", nworkers=2, gen_params=box,
+                      sim_params={"seconds": 0.5},
+                      exit_criteria=ExitCriteria(wallclock_max=1))
+        t0 = time.monotonic()
+        _, flag = run_ensemble(cfg, random_batch_gen, entering_sim,
+                               alloc=PersistentAlloc())
+        assert flag == "wallclock_max"
+        assert time.monotonic() - t0 < 1 + 0.5 + 1
+        entered = entered_ids(tmp_path / "stopped")
+        H0 = History.load(str(tmp_path / "stopped" / "history.tsv"))
+        assert all(H0.get(sid).returned for sid in entered)
+        unstarted = [r.sim_id for r in H0 if r.given and r.sim_id not in entered]
+        assert unstarted
+        assert not any(H0.get(sid).returned for sid in unstarted)
+
+        def go(sub, H0=None):
+            cfg = run_cfg(tmp_path, sub=sub, nworkers=2, gen_params=box,
+                          sim_params={"seconds": 0.0},
+                          exit_criteria=ExitCriteria(sim_max=32))
+            hist, flag = run_ensemble(cfg, random_batch_gen, entering_sim,
+                                      alloc=PersistentAlloc(), H0=H0)
+            assert flag == "sim_max"
+            return hist
+
+        assert histories_equal(go("resumed", H0), go("straight"))
 
     def test_work_for_a_busy_worker_is_refused(self, tmp_path):
         def double_booking_alloc(view, workers, pool):
