@@ -20,7 +20,6 @@ from .messages import (  # noqa: F401
 from .worker import (  # noqa: F401
     PersistentGenContext,
     ProtocolError,
-    WorkerConfig,
     WorkerContext,
     worker_main,
 )

@@ -45,7 +45,7 @@ from .messages import (
     WorkerStatus,
     WorkMsg,
 )
-from .worker import ProtocolError, WorkerConfig, worker_main
+from .worker import ProtocolError, worker_main
 
 log = logging.getLogger(__name__)
 
@@ -237,6 +237,7 @@ class _Manager:
         self.procs: dict[int, object] = {}
         self.assignments: dict[int, object] = {}
         self.gen_done = False
+        self.stopping = False
         self._last_dump = 0
 
     # -- setup -----------------------------------------------------------
@@ -268,14 +269,6 @@ class _Manager:
 
     def _start_workers(self) -> None:
         os.makedirs(self.config.ensemble_dir, exist_ok=True)
-        wcfg = WorkerConfig(
-            base_seed=self.config.seed,
-            ensemble_dir=self.config.ensemble_dir,
-            sim_params=self.config.sim_params,
-            gen_params=self.config.gen_params,
-            platform=self.config.platform,
-            dry_run=self.config.dry_run,
-        )
         # fork keeps user functions usable without pickling them.
         ctx = mp.get_context("fork")
         threaded = {1} if self.config.comms == "gen_on_manager" else set()
@@ -286,7 +279,8 @@ class _Manager:
             reader, writer = ctx.Pipe(duplex=False)
             runner = (threading.Thread if wid in threaded else ctx.Process)(
                 target=worker_main, daemon=True,
-                args=(wid, wcfg, inbox, writer, self.gen_fn, self.sim_fn))
+                args=(wid, self.config, inbox, writer, self.gen_fn,
+                      self.sim_fn))
             runner.start()
             if wid not in threaded:
                 # With the child holding the only write end, its death
@@ -337,8 +331,7 @@ class _Manager:
                             else WorkerStatus.BUSY_GEN)
         self.inboxes[action.target_worker].put(WorkMsg(action, batch))
 
-    def _receive(self, timeout: float = RECV_TIMEOUT,
-                 post_exit: bool = False) -> None:
+    def _receive(self, timeout: float = RECV_TIMEOUT) -> None:
         """Process one message from each worker that has sent one."""
         for conn in wait(list(self.conns), timeout):
             try:
@@ -348,34 +341,34 @@ class _Manager:
                 wid = self.conns.pop(conn)
                 was_idle = self.states[wid].idle
                 self.states[wid].status = WorkerStatus.IDLE
-                if not post_exit:
+                if not self.stopping:
                     raise EnsembleError(f"worker {wid} exited unexpectedly")
                 if not was_idle:
                     log.warning("worker %d died during shutdown", wid)
             else:
-                self._process(msg, post_exit)
+                self._process(msg)
 
-    def _process(self, msg, post_exit: bool = False) -> None:
+    def _process(self, msg) -> None:
         if isinstance(msg, SimDone):
-            self._process_sim_done(msg, post_exit)
+            self._process_sim_done(msg)
         elif isinstance(msg, GenBatch):
-            self._process_gen_batch(msg, post_exit)
+            self._process_gen_batch(msg)
         elif isinstance(msg, GenDone):
             self.gen_done = True
             self.states[msg.worker_id].status = WorkerStatus.IDLE
         elif isinstance(msg, WorkerCrash):
             self.states[msg.worker_id].status = WorkerStatus.IDLE
-            if post_exit:
+            if self.stopping:
                 log.warning("worker %d crashed during shutdown:\n%s",
                             msg.worker_id, msg.traceback_text)
                 return
             raise EnsembleError(
-                f"worker {msg.worker_id} {msg.where} function crashed:\n"
+                f"worker {msg.worker_id} gen function crashed:\n"
                 f"{msg.traceback_text}")
         else:
             log.warning("manager: unexpected message %r", msg)
 
-    def _process_sim_done(self, msg: SimDone, post_exit: bool) -> None:
+    def _process_sim_done(self, msg: SimDone) -> None:
         state = self.states[msg.worker_id]
         # Kill flags first, while the records still count as running.
         if msg.killed_ids:
@@ -393,7 +386,7 @@ class _Manager:
             self.pool.release(assignment)
         state.status = WorkerStatus.IDLE
         if msg.error is not None:
-            if self.config.sim_error == "abort" and not post_exit:
+            if self.config.sim_error == "abort" and not self.stopping:
                 raise EnsembleError(
                     f"worker {msg.worker_id} sim function failed:\n{msg.error}")
             log.warning("worker %d sim failed, recording NaN:\n%s",
@@ -402,11 +395,11 @@ class _Manager:
                 >= self.config.dump_every):
             self._dump()
 
-    def _process_gen_batch(self, msg: GenBatch, post_exit: bool) -> None:
+    def _process_gen_batch(self, msg: GenBatch) -> None:
         state = self.states[msg.worker_id]
         if state.status is WorkerStatus.BUSY_GEN:
             state.status = WorkerStatus.IDLE
-        if post_exit:
+        if self.stopping:
             # The run is over; a batch that raced the stop is dropped.
             log.debug("dropping post-exit batch from worker %d", msg.worker_id)
             return
@@ -438,8 +431,8 @@ class _Manager:
     # -- run and shutdown ------------------------------------------------
 
     def run(self) -> tuple[History, str]:
+        """Cycle until the run ends, then shut down and dump, however it ends."""
         self._start_workers()
-        flag = None
         try:
             while True:
                 flag = check_exit(self.history, self._now(), self.criteria)
@@ -451,25 +444,26 @@ class _Manager:
                                          self.states, self.pool):
                     self._execute(action)
                 self._receive()
-        except BaseException:
+            if self.trace is not None:
+                self.trace.append(("stop", flag))
+        finally:
             self._shutdown()
             self._dump(final=True)
-            raise
-        if self.trace is not None:
-            self.trace.append(("stop", flag))
-        self._shutdown()
-        self._dump(final=True)
         return self.history, flag
 
     def _shutdown(self) -> None:
-        # Unblock a waiting persistent generator before the plain stops.
-        for wid, state in self.states.items():
-            if state.status is WorkerStatus.PERSISTENT_GEN:
-                self.inboxes[wid].put(StopMsg(Tag.PERSIS_STOP))
-        for inbox in self.inboxes.values():
-            inbox.put(StopMsg())
+        """Send each worker its one stop and wait for the workers to end.
 
-        # Late results still land in the history; late batches do not.
+        A running persistent generator gets PERSIS_STOP, every other
+        worker STOP. Once `stopping` is set, late results still land in
+        the history, late batches are dropped, and a sim error, a crash
+        or a worker's exit is only logged.
+        """
+        self.stopping = True
+        for wid, inbox in self.inboxes.items():
+            persistent = self.states[wid].status is WorkerStatus.PERSISTENT_GEN
+            inbox.put(StopMsg(Tag.PERSIS_STOP if persistent else Tag.STOP))
+
         deadline = time.monotonic() + SHUTDOWN_TIMEOUT
         while any(not s.idle for s in self.states.values()):
             remaining = deadline - time.monotonic()
@@ -478,14 +472,9 @@ class _Manager:
                 log.warning("shutdown timed out waiting on workers %s", busy)
                 break
             try:
-                self._receive(min(RECV_TIMEOUT, remaining), post_exit=True)
+                self._receive(min(RECV_TIMEOUT, remaining))
             except Exception:
                 log.exception("error processing a shutdown message")
-
-        for assignment in self.assignments.values():
-            if self.pool is not None:
-                self.pool.release(assignment)
-        self.assignments.clear()
 
         for wid, runner in self.procs.items():
             runner.join(timeout=max(0.0, deadline - time.monotonic()) + 2.0)

@@ -2,11 +2,13 @@
 
 Everything that crosses a channel is a plain picklable dataclass. A
 worker's inbox queue carries all the manager sends (work, forwarded
-results, KILL, STOP); a one-way pipe carries all it sends back. Puts
-never block the manager, which always reads the pipes, so the two cannot
-deadlock. Work goes only to idle workers, so a running simulation finds
-only KILL or STOP in its inbox. A worker that ends unstopped closes its
-pipe and so ends the run.
+results, KILL, and at the end of the run one StopMsg); a one-way pipe
+carries all it sends back. Puts never block the manager, which always
+reads the pipes, so the two cannot deadlock. Work goes only to idle
+workers, so a running simulation finds only KILL or STOP in its inbox.
+The one StopMsg carries PERSIS_STOP to a worker running a persistent
+generator, which reads it through recv, and STOP to every other worker.
+A worker that ends unstopped closes its pipe and so ends the run.
 
 Records travel to workers as a RecordBatch of columns, never as the
 manager's own objects. User functions receive the EnsembleRecords it
@@ -190,6 +192,7 @@ class GenDone:
 
 @dataclass
 class WorkerCrash:
+    """A generator raised; a sim's error travels in SimDone.error."""
+
     worker_id: int
-    where: str  # "sim" or "gen"
     traceback_text: str

@@ -1,12 +1,15 @@
 """Worker side of the engine: the loop a worker runs and the contexts
 handed to user functions.
 
-A worker is a plain loop over an inbox. Simulator calls receive a
+A worker is a plain loop over an inbox. It carries the run's own
+RunConfig, nothing copied out of it. Simulator calls receive a
 WorkerContext (rng stream, directories, resource assignment, kill
 polling); a persistent generator additionally gets the send/recv surface
-it streams batches through. The same loop body runs as a separate
-process (local comms) or as a thread inside the manager (gen_on_manager);
-only the inbox type differs.
+it streams batches through. The manager sends each worker one stop, and
+a worker ends once it has read it, whether in its loop, in a sim's
+poll_signals or in a generator's recv. The same loop body runs as a
+separate process (local comms) or as a thread inside the manager
+(gen_on_manager); only the inbox type differs.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import logging
 import os
 import queue
 import traceback
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..executor import Executor
-from ..resources import PlatformSpec
 from .messages import (
     GenBatch,
     GenDone,
@@ -33,6 +35,9 @@ from .messages import (
     WorkMsg,
 )
 
+if TYPE_CHECKING:
+    from .manager import RunConfig
+
 log = logging.getLogger(__name__)
 
 
@@ -40,34 +45,25 @@ class ProtocolError(Exception):
     """A message arrived that the protocol does not allow here."""
 
 
-@dataclass
-class WorkerConfig:
-    """Per-run settings every worker carries; nothing here is per-message."""
-
-    base_seed: int = 0
-    ensemble_dir: str = "."
-    sim_params: dict = field(default_factory=dict)
-    gen_params: dict = field(default_factory=dict)
-    platform: PlatformSpec | None = None
-    dry_run: bool = False
-
-
 class WorkerContext:
     """State a worker keeps across user-function calls.
 
     One context lives for the whole worker: the rng stream in particular
-    must advance across calls, never restart. current_sim_ids (the one
-    record of the simulation call in progress), assignment and killed
-    describe the Work in progress; simulator functions append to `killed`
-    when they end a run early (kill signal or timeout) so the manager can
-    flag those records. `kills_seen` holds every sim_id a KILL named during
-    the Work, so a later record of its pack is withdrawn unstarted.
+    must advance across calls, never restart. config is the run's
+    RunConfig; the rng is seeded with its seed plus the worker id.
+    current_sim_ids (the one record of the simulation call in progress),
+    assignment and killed describe the Work in progress; simulator
+    functions append to `killed` when they end a run early (kill signal
+    or timeout) so the manager can flag those records. `kills_seen` holds
+    every sim_id a KILL named during the Work, so a later record of its
+    pack is withdrawn unstarted. `stopping` is set by whichever read takes
+    the worker's stop: the loop's, poll_signals or a generator's recv.
     """
 
-    def __init__(self, worker_id: int, config: WorkerConfig, inbox):
+    def __init__(self, worker_id: int, config: RunConfig, inbox):
         self.worker_id = worker_id
         self.config = config
-        self.seed = config.base_seed + worker_id
+        self.seed = config.seed + worker_id
         self.rng = np.random.default_rng(self.seed)
         self.ensemble_dir = config.ensemble_dir
         self.current_sim_ids: set[int] = set()
@@ -133,9 +129,11 @@ class PersistentGenContext:
     blocks on the inbox queue, where results forwarded while the generator
     was busy wait. Attribute access (rng, seed, directories) is shared
     with the enclosing worker context so generator streams stay continuous.
+    A stop that recv returns also sets that context's `stopping`.
     """
 
     def __init__(self, worker_ctx: WorkerContext, inbox, outbox):
+        self._worker_ctx = worker_ctx
         self._inbox = inbox
         self._outbox = outbox
         self.worker_id = worker_ctx.worker_id
@@ -150,6 +148,7 @@ class PersistentGenContext:
     def recv(self) -> tuple[Tag, list]:
         msg = self._inbox.get()
         if isinstance(msg, StopMsg):
+            self._worker_ctx.stopping = True
             return msg.tag, []
         if isinstance(msg, ResultsMsg):
             return Tag.RESULT, msg.batch.records()
@@ -171,7 +170,8 @@ def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
     The inbox is drained between records: a KILL for a later record,
     drained here or earlier by the sim's own poll_signals, withdraws it
     before it starts, and a STOP leaves the rest of the pack unstarted.
-    An exception makes only its own record NaN.
+    An exception makes its own record NaN; under sim_error "nan" the
+    pack goes on, under "abort" the rest of it is left unstarted.
     """
     records = msg.batch.records()
     ctx.assignment = msg.work.assignment
@@ -198,6 +198,11 @@ def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
             # the manager decides whether that aborts the ensemble.
             results.append((rec.sim_id, float("nan")))
             errors.append(traceback.format_exc())
+            if ctx.config.sim_error == "abort":
+                # The manager ends the run on this error; the rest of
+                # the pack stays given and reruns on resume.
+                unstarted.extend(r.sim_id for r in records[i + 1:])
+                break
     ctx.current_sim_ids = set()
     ctx.assignment = None
     outbox.send(SimDone(ctx.worker_id, results, killed_ids=tuple(ctx.killed),
@@ -218,16 +223,17 @@ def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, outbox, gen_fn) -> None:
             outbox.send(GenBatch(ctx.worker_id,
                                  list(gen_fn(records, params, ctx))))
     except Exception:
-        outbox.send(WorkerCrash(ctx.worker_id, "gen", traceback.format_exc()))
+        outbox.send(WorkerCrash(ctx.worker_id, traceback.format_exc()))
 
 
-def worker_main(worker_id: int, config: WorkerConfig, inbox, outbox,
+def worker_main(worker_id: int, config: RunConfig, inbox, outbox,
                 gen_fn=None, sim_fn=None) -> None:
-    """Body of one worker; runs until a stop message arrives on the inbox.
+    """Body of one worker; runs until it has read its stop message.
 
     inbox is the queue that carries all the manager sends: work, results
-    forwarded to a persistent generator, KILL and STOP (a simulation
-    drains the last two through WorkerContext.poll_signals). outbox is
+    forwarded to a persistent generator, KILL and the one stop (a
+    simulation drains KILL and STOP through WorkerContext.poll_signals, a
+    persistent generator reads its PERSIS_STOP through recv). outbox is
     the write end of the one-way pipe that carries all the worker sends.
     """
     ctx = WorkerContext(worker_id, config, inbox)
@@ -235,7 +241,8 @@ def worker_main(worker_id: int, config: WorkerConfig, inbox, outbox,
         while not ctx.stopping:
             msg = inbox.get()
             if isinstance(msg, StopMsg):
-                break
+                ctx.stopping = True
+                continue
             if isinstance(msg, KillMsg):
                 continue  # its simulation returned before the kill arrived
             if not isinstance(msg, WorkMsg):

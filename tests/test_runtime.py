@@ -31,7 +31,6 @@ from dynens.runtime import (
     RunConfig,
     STOP_TAGS,
     Tag,
-    WorkerConfig,
     WorkerContext,
     WorkerState,
     WorkerStatus,
@@ -301,6 +300,17 @@ def pack_cancelling_gen(history_in, params, ctx):
         pickle.dump((tag, [r.sim_id for r in recs or []]), fh)
 
 
+def first_fails_sim(records, params, ctx):
+    """Leaves an `entered<sim_id>` file in the ensemble directory per
+    record; raises on sim 0 and sleeps 0.5 s on every other."""
+    for rec in records:
+        open(os.path.join(ctx.ensemble_dir, f"entered{rec.sim_id}"), "w").close()
+        if rec.sim_id == 0:
+            raise RuntimeError("sim 0 exploded")
+        time.sleep(0.5)
+    return [0.0 for _ in records]
+
+
 def picky_sim(records, params, ctx):
     """norm_sim that raises on sim 1."""
     if any(r.sim_id == 1 for r in records):
@@ -318,6 +328,13 @@ def make_history(n_dims=2, points=0, **flags):
         xs = np.linspace(0.0, 1.0, points * n_dims).reshape(points, n_dims)
         h.submit_points([GenPoint(x) for x in xs], gen_worker=1)
     return h
+
+
+def worker_cfg(**kw):
+    """The RunConfig a worker driven by hand carries; the run-level
+    fields only satisfy its checks."""
+    return RunConfig(n_dims=2, nworkers=1,
+                     exit_criteria=ExitCriteria(sim_max=1), **kw)
 
 
 def idle_workers(n, first=1):
@@ -697,7 +714,7 @@ class ThreadedWorker:
     def __init__(self, worker_id=2, gen_fn=None, sim_fn=None, **cfg_kw):
         self.inbox = queue.Queue()
         self.results = ResultPipe()
-        cfg = WorkerConfig(**cfg_kw)
+        cfg = worker_cfg(**cfg_kw)
         self.thread = threading.Thread(
             target=worker_main,
             args=(worker_id, cfg, self.inbox, self.results.writer,
@@ -757,7 +774,7 @@ class TestWorkerLoop:
         w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN,
                                  persistent=True), RecordBatch.of([])))
         crash = w.results.get(timeout=5)
-        assert crash.worker_id == 2 and crash.where == "gen"
+        assert crash.worker_id == 2
         assert "generator exploded" in crash.traceback_text
         w.stop()
 
@@ -782,7 +799,7 @@ class TestWorkerLoop:
             return [0.0 for _ in records]
 
         w = ThreadedWorker(sim_fn=peeking_sim, ensemble_dir=str(tmp_path),
-                           base_seed=17)
+                           seed=17)
         h = make_history(points=2)
         for sid in (0, 1):
             w.inbox.put(WorkMsg(sim_work((sid,)), RecordBatch.of([h.get(sid)])))
@@ -835,6 +852,29 @@ class TestWorkerLoop:
         assert "sim 1 exploded" in done.error and done.unstarted == ()
         w.stop()
 
+    def test_error_under_abort_leaves_the_rest_of_the_pack(self, tmp_path):
+        w = ThreadedWorker(sim_fn=picky_sim, ensemble_dir=str(tmp_path),
+                           sim_error="abort")
+        h = make_history(points=3)
+        w.inbox.put(WorkMsg(sim_work((0, 1, 2)), RecordBatch.of(h.records)))
+        done = w.results.get(timeout=5)
+        assert [sid for sid, _ in done.results] == [0, 1]
+        assert math.isnan(done.results[1][1])
+        assert "sim 1 exploded" in done.error and done.unstarted == (2,)
+        w.stop()
+
+    def test_stop_read_by_a_generator_ends_the_loop(self, tmp_path):
+        """PERSIS_STOP, read through recv, is the worker's only stop."""
+        w = ThreadedWorker(gen_fn=counted_gen, ensemble_dir=str(tmp_path),
+                           gen_params={"n_batches": 5})
+        w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN,
+                                 persistent=True), RecordBatch.of([])))
+        assert isinstance(w.results.get(timeout=5), GenBatch)
+        w.inbox.put(StopMsg(Tag.PERSIS_STOP))
+        assert isinstance(w.results.get(timeout=5), GenDone)
+        w.thread.join(timeout=5)
+        assert not w.thread.is_alive()
+
 
 class SentList(list):
     """An outbox that keeps what was sent."""
@@ -850,7 +890,7 @@ class TestPackedWork:
         inbox = queue.Queue()
         for msg in signals:
             inbox.put(msg)
-        ctx = WorkerContext(2, WorkerConfig(), inbox)
+        ctx = WorkerContext(2, worker_cfg(), inbox)
         entered, outbox = [], SentList()
 
         def sim(records, params, ctx):
@@ -886,20 +926,20 @@ class TestPackedWork:
 class TestWorkerContext:
     def test_poll_signals_drains_in_order(self):
         inbox = queue.Queue()
-        ctx = WorkerContext(3, WorkerConfig(), inbox)
+        ctx = WorkerContext(3, worker_cfg(), inbox)
         inbox.put(KillMsg((4, 5)))
         inbox.put(StopMsg())
         assert ctx.poll_signals() == [("KILL", 4), ("KILL", 5), ("STOP", None)]
         assert ctx.poll_signals() == []
 
     def test_executor_needs_a_platform(self):
-        ctx = WorkerContext(2, WorkerConfig(), queue.Queue())
+        ctx = WorkerContext(2, worker_cfg(), queue.Queue())
         with pytest.raises(ProtocolError, match="platform"):
             ctx.executor
 
     def test_gen_context_rejects_stray_messages(self):
         inbox, results = queue.Queue(), queue.Queue()
-        ctx = WorkerContext(1, WorkerConfig(), queue.Queue())
+        ctx = WorkerContext(1, worker_cfg(), queue.Queue())
         pctx = PersistentGenContext(ctx, inbox, results)
         inbox.put(WorkMsg(Work(target_worker=1, tag=Tag.EVAL_GEN)))
         with pytest.raises(ProtocolError):
@@ -907,10 +947,12 @@ class TestWorkerContext:
 
     def test_gen_context_maps_stops(self):
         inbox, results = queue.Queue(), queue.Queue()
-        ctx = WorkerContext(1, WorkerConfig(), queue.Queue())
+        ctx = WorkerContext(1, worker_cfg(), queue.Queue())
         pctx = PersistentGenContext(ctx, inbox, results)
         inbox.put(StopMsg(Tag.PERSIS_STOP))
+        assert not ctx.stopping
         assert pctx.recv() == (Tag.PERSIS_STOP, [])
+        assert ctx.stopping
 
 
 # ---------------------------------------------------------------------------
@@ -1514,6 +1556,71 @@ class TestRunEnsemble:
             return hist
 
         assert histories_equal(go("resumed", H0), go("straight"))
+
+    def test_abort_ends_the_pack_at_the_error(self, tmp_path):
+        """Under sim_error abort, a sim's error ends the run at once: the
+        rest of its pack never starts, stays given, and runs on resume."""
+        box = dict(GEN_BOX, batch_size=8)  # one sim worker: a pack of 4
+        cfg = run_cfg(tmp_path, sub="aborted", nworkers=2, sim_error="abort",
+                      gen_params=box, exit_criteria=ExitCriteria(sim_max=8))
+        t0 = time.monotonic()
+        with pytest.raises(EnsembleError, match="worker 2 sim function failed"):
+            run_ensemble(cfg, random_batch_gen, first_fails_sim,
+                         alloc=PersistentAlloc())
+        assert time.monotonic() - t0 < 0.5
+        assert entered_ids(tmp_path / "aborted") == {0}
+        H0 = History.load(str(tmp_path / "aborted" / "history.tsv"))
+        assert H0.get(0).returned and math.isnan(H0.get(0).f)
+        for sid in (1, 2, 3):
+            assert H0.get(sid).given and not H0.get(sid).returned
+
+        cfg = run_cfg(tmp_path, sub="resumed", nworkers=2, gen_params=box,
+                      exit_criteria=ExitCriteria(sim_max=8))
+        hist, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                                  alloc=PersistentAlloc(), H0=H0)
+        assert flag == "sim_max"
+        assert all(r.returned for r in hist.records[:8])
+        for rec in hist.records[1:8]:
+            assert rec.f == pytest.approx(np.linalg.norm(rec.x))
+
+    @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
+    def test_each_worker_gets_one_stop(self, tmp_path, comms, monkeypatch):
+        class PutRecorder:
+            """A worker's inbox, seen from the manager, that keeps what
+            was put."""
+
+            def __init__(self, inbox):
+                self.inbox, self.sent = inbox, []
+
+            def put(self, msg):
+                self.sent.append(msg)
+                self.inbox.put(msg)
+
+            def __getattr__(self, name):
+                return getattr(self.inbox, name)
+
+        recorders = {}
+        real_start = _Manager._start_workers
+
+        def recording_start(self):
+            real_start(self)
+            for wid, inbox in self.inboxes.items():
+                recorders[wid] = self.inboxes[wid] = PutRecorder(inbox)
+
+        monkeypatch.setattr(_Manager, "_start_workers", recording_start)
+        threads_before = set(threading.enumerate())
+        cfg = run_cfg(tmp_path, comms=comms, gen_params=dict(GEN_BOX))
+        t0 = time.monotonic()
+        _, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                               alloc=PersistentAlloc())
+        assert flag == "sim_max"
+        # Each worker ended on its one stop, long before the shutdown
+        # timeout would have given up on it.
+        assert time.monotonic() - t0 < 5
+        stops = {wid: [m.tag for m in rec.sent if isinstance(m, StopMsg)]
+                 for wid, rec in recorders.items()}
+        assert stops == {1: [Tag.PERSIS_STOP], 2: [Tag.STOP], 3: [Tag.STOP]}
+        assert_nothing_left_running(threads_before)
 
     def test_work_for_a_busy_worker_is_refused(self, tmp_path):
         def double_booking_alloc(view, workers, pool):
