@@ -26,7 +26,8 @@ import numpy as np
 
 from .history import EnsembleRecord, GenPoint
 from .runtime.messages import STOP_TAGS, Tag
-from .surrogate import GaussianProcess, TrainMethod, crps_gaussian
+from .surrogate import (GaussianProcess, TrainMethod, crps_gaussian,
+                        one_blas_thread)
 
 METRICS_COLUMNS = ("iteration", "n_train", "rmse_batch", "train_method",
                    "train_seconds", "select_seconds", "sim_seconds",
@@ -310,6 +311,17 @@ class _OnlineLearner:
 
 
 def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
+    """Run the generator until the manager stops it; returns the stop tag.
+
+    The whole run (replay, ingest and training, selection, metrics) has
+    every OpenBLAS in the process on one thread, and the counts found on
+    entry are put back however it ends: return, stop tag or raise.
+    """
+    with one_blas_thread():
+        return _gp_gen_loop(history_in, params, ctx)
+
+
+def _gp_gen_loop(history_in, params: dict, ctx) -> Tag:
     unknown = sorted(set(params) - set(PARAM_KEYS))
     if unknown:
         raise GeneratorError(

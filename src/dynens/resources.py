@@ -520,21 +520,49 @@ def _choose_nodes(
     match_slots: bool,
 ) -> list[tuple[int, list[ResourceSet]]] | None:
     """First workable k nodes in index order, each contributing per_node
-    slots; with match_slots the slot-index sets must be identical."""
+    slots; with match_slots the slot-index sets must be identical.
+
+    Under match_slots a depth-first walk in node-index order extends a
+    partial choice only while its common free slots still number at least
+    per_node and enough candidates remain, so the first full choice it
+    reaches is the lowest-index one. Whether a partial choice completes
+    depends only on its common slots, the nodes it still needs and where
+    the walk resumes, and a (common, need) pair that fails from one
+    position fails from every later one; each failure is remembered, so
+    the walk is polynomial in the node count for a fixed slot count.
+    """
     candidates = sorted(i for i, v in by_node.items() if len(v) >= per_node)
     if len(candidates) < k:
         return None
-    if not match_slots:
+    if not match_slots or k == 1:  # one node shares all its own slots
         picked = candidates[:k]
         return [(i, by_node[i][:per_node]) for i in picked]
-    for combo in itertools.combinations(candidates, k):
-        common = set.intersection(*(set(r.slot for r in by_node[i]) for i in combo))
-        if len(common) >= per_node:
-            slots = sorted(common)[:per_node]
-            return [
-                (i, [r for r in by_node[i] if r.slot in slots]) for i in combo
-            ]
-    return None
+    slots = [frozenset(r.slot for r in by_node[i]) for i in candidates]
+    n = len(candidates)
+    # (common slots, nodes still needed) -> the first position from which
+    # the walk found no completion.
+    fails_from: dict[tuple[frozenset, int], int] = {}
+    chosen: list[int] = []  # positions in candidates
+    # commons[d]: the free slots the first d chosen nodes share.
+    commons = [frozenset().union(*slots)]
+    pos = 0
+    while len(chosen) < k:
+        need = k - len(chosen)
+        if pos > n - need:
+            if not chosen:
+                return None
+            fails_from[commons.pop(), need] = chosen[-1] + 1
+            pos = chosen.pop() + 1
+            continue
+        common = commons[-1] & slots[pos]
+        if (len(common) >= per_node
+                and fails_from.get((common, need - 1), n + 1) > pos + 1):
+            chosen.append(pos)
+            commons.append(common)
+        pos += 1
+    shared = sorted(commons[-1])[:per_node]
+    nodes = [candidates[p] for p in chosen]
+    return [(i, [r for r in by_node[i] if r.slot in shared]) for i in nodes]
 
 
 def _build_assignment(

@@ -25,12 +25,20 @@ bit for bit. Against the formulas before this layout (differences divided
 by the lengthscales, K⁻¹ and the variance by two triangular solves each)
 the likelihood, gradient and posterior agree within the tolerances that
 tests/test_surrogate.py states.
+
+At these sizes the OpenBLAS thread pools numpy and scipy bundle cost CPU
+for no wall time, and their threads stall when other processes hold the
+cores; ``one_blas_thread`` pins every OpenBLAS in the process to one
+thread for as long as a block runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -405,3 +413,94 @@ class GaussianProcess:
         if len(y) == 0:
             raise SurrogateError("rmse of an empty set")
         return float(np.sqrt(np.mean((mean - y) ** 2)))
+
+
+# The thread-count getter and setter an OpenBLAS exports: numpy's bundled
+# build, scipy's bundled build, a system build.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_openblas = None
+
+
+def openblas_thread_calls() -> list[tuple]:
+    """(get, set) for each OpenBLAS mapped into this process.
+
+    Found once per process, from the library paths in /proc/self/maps, and
+    cached: a forked worker inherits the list. Empty where there is no
+    /proc or no OpenBLAS.
+    """
+    global _openblas
+    if _openblas is None:
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = {fields[5].strip() for fields in
+                         (line.split(None, 5) for line in maps)
+                         if len(fields) == 6}
+        except OSError:
+            paths = set()
+        calls = []
+        for path in sorted(p for p in paths
+                           if "openblas" in os.path.basename(p)):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    calls.append((get, _pool_sparing(lib, set_)))
+                    break
+        _openblas = calls
+    return _openblas
+
+
+def _pool_sparing(lib, set_):
+    """The library's setter, except while its thread pool is down.
+
+    A fork stops the pool, and the setter restarts it before it stores the
+    count; each new thread then spins for tens of milliseconds of CPU
+    before it sleeps, for nothing when the count is one. While the pool is
+    down and the count fits the pool's size, storing the count
+    (blas_cpu_number) is all of the setter's work that matters: the pool
+    starts again, as it would have anyway, at the first call that runs on
+    more than one thread. A build that does not export those variables
+    gets the setter.
+    """
+    try:
+        count = ctypes.c_int.in_dll(lib, "blas_cpu_number")
+        pool_size = ctypes.c_int.in_dll(lib, "blas_num_threads")
+        pool_up = ctypes.c_int.in_dll(lib, "blas_server_avail")
+    except ValueError:
+        return set_
+
+    def set_threads(n: int) -> None:
+        if pool_up.value or n > pool_size.value:
+            set_(n)
+        else:
+            count.value = n
+    return set_threads
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS in the process on one thread, and
+    put back the counts found on entry however the block ends.
+
+    The setter acts on the whole process, not on the calling thread: when
+    the generator runs as a thread of the manager (gen_on_manager), the
+    manager also sees one thread while the block runs.
+    """
+    calls = openblas_thread_calls()
+    before = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(calls, before):
+            set_(n)
