@@ -8,6 +8,7 @@ dynens replay-metrics HISTORY  summarize a dumped history table
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -16,25 +17,26 @@ import time
 from ..history import History, HistoryError
 from ..runtime import EnsembleError, run_ensemble
 from ..runtime.manager import HISTORY_FILENAME
-from .config import ConfigError, load_config
+from .config import COMMS_MODES, ConfigError, load_config
 
 
 def _add_override_flags(parser):
     parser.add_argument("--nworkers", type=int, metavar="N",
                         help="override ensemble.nworkers")
-    parser.add_argument("--comms", choices=("local", "gen_on_manager"),
-                        help="override ensemble.comms")
+    parser.add_argument("--comms", metavar="MODE", help="override "
+                        f"ensemble.comms ({' or '.join(COMMS_MODES)})")
     parser.add_argument("--platform", metavar="NAME",
-                        help="override the platform name")
+                        help="override platform.name")
     parser.add_argument("--inventory", metavar="PATH",
-                        help="node inventory file, overriding the document")
+                        help="node inventory file: the document's inventory "
+                             "becomes {source: file, path: PATH}")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="override ensemble.seed")
     parser.add_argument("--ensemble-dir", metavar="DIR",
                         help="override ensemble.ensemble_dir")
 
 
-def _load(args, dry_run=False):
+def _load(args):
     return load_config(
         args.config,
         nworkers=args.nworkers,
@@ -43,7 +45,6 @@ def _load(args, dry_run=False):
         inventory_path=args.inventory,
         seed=args.seed,
         ensemble_dir=args.ensemble_dir,
-        dry_run=dry_run,
     )
 
 
@@ -77,13 +78,14 @@ def _summarize(history):
 
 def _cmd_run(args):
     try:
-        cfg = _load(args, dry_run=args.dry_run)
+        cfg = _load(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    run = dataclasses.replace(cfg.run, dry_run=args.dry_run)
     start = time.perf_counter()
     try:
-        history, flag = run_ensemble(cfg.run, cfg.gen_fn, cfg.sim_fn,
+        history, flag = run_ensemble(run, cfg.gen_fn, cfg.sim_fn,
                                      alloc=cfg.make_alloc())
     except (EnsembleError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -93,7 +95,7 @@ def _cmd_run(args):
     for line in _summarize(history):
         print(line)
     print(f"wall time: {elapsed:.2f}s")
-    print(f"history: {os.path.join(cfg.run.ensemble_dir, HISTORY_FILENAME)}")
+    print(f"history: {os.path.join(run.ensemble_dir, HISTORY_FILENAME)}")
     return 0
 
 

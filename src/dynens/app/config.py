@@ -37,6 +37,7 @@ _INVENTORY_KEYS = ("source", "path")
 _GEN_KEYS = ("function", "user")
 _SIM_KEYS = ("function", "error_policy", "user")
 _ALLOC_KEYS = ("async",)
+COMMS_MODES = ("local", "gen_on_manager")
 
 
 class ConfigError(Exception):
@@ -190,8 +191,6 @@ def _build_inventory(block, platform, explicit) -> NodeInventory:
     if path is not None:
         raise ConfigError("inventory.path: only valid with source 'file'")
     inventory = detect_nodes()
-    if platform is None:
-        return inventory
     # Node detection cannot see GPUs, and an explicit cores_per_node
     # override beats whatever detection guessed.
     gpus = None
@@ -214,12 +213,13 @@ def load_config(
     inventory_path: str | os.PathLike | None = None,
     seed: int | None = None,
     ensemble_dir: str | None = None,
-    dry_run: bool = False,
 ) -> EnsembleConfig:
     """Load and validate a run configuration.
 
-    Keyword arguments override the corresponding document fields; they
-    exist for command-line flags.
+    Keyword arguments are command-line flags. Each edits the document
+    before anything is validated, so its value is checked and reported as
+    the field it sets: ensemble.*, platform.name, or, for inventory_path,
+    an inventory block {source: file, path: ...}, which implies a platform.
     """
     try:
         with open(path) as fh:
@@ -230,6 +230,16 @@ def load_config(
         raise ConfigError(f"{os.fspath(path)!s}: invalid YAML: {exc}") from exc
 
     doc = _mapping(doc, "top level")
+    for block, key, value in (("ensemble", "nworkers", nworkers),
+                              ("ensemble", "comms", comms),
+                              ("ensemble", "seed", seed),
+                              ("ensemble", "ensemble_dir", ensemble_dir),
+                              ("platform", "name", platform)):
+        if value is not None:
+            doc[block] = {**_mapping(doc.get(block), block), key: value}
+    if inventory_path is not None:
+        doc["inventory"] = {"source": "file", "path": os.fspath(inventory_path)}
+
     _check_keys(doc, _TOP_KEYS, "top level")
     version = doc.get("version")
     if version != CONFIG_VERSION:
@@ -238,45 +248,30 @@ def load_config(
 
     ens = _mapping(doc.get("ensemble"), "ensemble")
     _check_keys(ens, _ENSEMBLE_KEYS, "ensemble")
+    nworkers = _get_int(ens, "nworkers", "ensemble", minimum=1)
     if nworkers is None:
-        nworkers = _get_int(ens, "nworkers", "ensemble", minimum=1)
-        if nworkers is None:
-            raise ConfigError("ensemble.nworkers: required")
-    if comms is None:
-        comms = _get_str(ens, "comms", "ensemble", default="local",
-                         choices=("local", "gen_on_manager"))
-    if seed is None:
-        seed = _get_int(ens, "seed", "ensemble", default=0, minimum=0)
-    if ensemble_dir is None:
-        ensemble_dir = _get_str(ens, "ensemble_dir", "ensemble",
-                                default="ensemble")
+        raise ConfigError("ensemble.nworkers: required")
+    comms = _get_str(ens, "comms", "ensemble", default="local",
+                     choices=COMMS_MODES)
+    seed = _get_int(ens, "seed", "ensemble", default=0, minimum=0)
+    ensemble_dir = _get_str(ens, "ensemble_dir", "ensemble",
+                            default="ensemble")
     dump_every = _get_int(ens, "dump_every", "ensemble", minimum=1)
 
     exit_block = _mapping(doc.get("exit"), "exit")
     _check_keys(exit_block, _EXIT_KEYS, "exit")
     criteria = _build_exit(exit_block)
 
-    platform_spec = None
     block = _mapping(doc.get("platform"), "platform")
     _check_keys(block, _PLATFORM_KEYS, "platform")
     platform_overrides = _mapping(block.get("overrides"), "platform.overrides")
-    if platform is not None:
-        # The flag replaces platform.name only; the overrides still apply.
-        block = {**block, "name": platform}
-    if platform is not None or "platform" in doc:
+    platform_spec = inventory = None
+    # Launching anything needs a platform; a bare inventory implies one.
+    if "platform" in doc or "inventory" in doc:
         platform_spec = _build_platform(block)
-
-    inventory = None
-    if inventory_path is not None:
-        inventory = _build_inventory(
-            {"source": "file", "path": os.fspath(inventory_path)},
-            platform_spec, platform_overrides)
-    elif "inventory" in doc:
-        block = _mapping(doc.get("inventory"), "inventory")
+    if "inventory" in doc:
+        block = _mapping(doc["inventory"], "inventory")
         _check_keys(block, _INVENTORY_KEYS, "inventory")
-        if platform_spec is None:
-            # Launching anything needs a platform; a bare inventory implies one.
-            platform_spec = _build_platform({})
         inventory = _build_inventory(block, platform_spec, platform_overrides)
 
     gen_block = _mapping(doc.get("gen"), "gen")
@@ -333,7 +328,6 @@ def load_config(
         platform=platform_spec,
         inventory=inventory,
         sim_error=sim_error,
-        dry_run=dry_run,
     )
     if dump_every is not None:
         run_kwargs["dump_every"] = dump_every

@@ -350,44 +350,9 @@ def _gp_gen_loop(history_in, params: dict, ctx) -> Tag:
         tag, recs = ctx.send_recv(points)
         return tag, recs, time.perf_counter() - t0
 
-    sim_seconds = float("nan")
-    outstanding, drawn, dead = learner.replay(history_in, batch_size,
-                                              random_mode)
-    # Burning the rows the prior run drew realigns the stream.
-    ctx.rng.uniform(lb, ub, (drawn, n))
-    need_ingest = True
-    if outstanding:
-        t0 = time.perf_counter()
-        tag, received = ctx.recv()
-        sim_seconds = time.perf_counter() - t0
-        # Complete the in-flight batch as an uninterrupted run receives it.
-        received = sorted([r for r in outstanding if r.returned] + received,
-                          key=lambda r: r.sim_id)
-    elif dead:
-        # A fresh run bootstraps; a resumed one whose last batch all died
-        # re-probes, as the prior run would have.
-        tag, received, sim_seconds = dispatch(
-            initial_sample(lb, ub, batch_size, ctx.rng))
-    else:
-        tag, received, need_ingest = None, [], False
-
-    while True:
-        if need_ingest:
-            if tag in STOP_TAGS:
-                return tag
-            outcome = learner.ingest(received)
-            if outcome is None:
-                # Every point came back dead; probe somewhere fresh.
-                tag, received, sim_seconds = dispatch(
-                    initial_sample(lb, ub, batch_size, ctx.rng))
-                continue
-        else:
-            # Restart at a clean batch boundary: the last ingest ran in
-            # replay and the prior process may have logged its row already,
-            # so none is written for it here.
-            outcome = None
-        need_ingest = True
-
+    def step(outcome, sim_seconds):
+        """Select the next batch and send it, after the metrics row of the
+        ingest that gave `outcome` (none without one)."""
         log_row = bool(metrics_path) and outcome is not None
         t0 = time.perf_counter()
         variances = None
@@ -407,5 +372,36 @@ def _gp_gen_loop(history_in, params: dict, ctx) -> Tag:
                 learner.iteration, learner.model.n_train, rmse_batch,
                 method.name, train_seconds, select_seconds, sim_seconds,
                 *metrics(learner.model, test_set, variances)))
+        return dispatch(batch)
 
-        tag, received, sim_seconds = dispatch(batch)
+    outstanding, drawn, dead = learner.replay(history_in, batch_size,
+                                              random_mode)
+    # Burning the rows the prior run drew realigns the stream.
+    ctx.rng.uniform(lb, ub, (drawn, n))
+    if outstanding:
+        t0 = time.perf_counter()
+        tag, received = ctx.recv()
+        sim_seconds = time.perf_counter() - t0
+        # Complete the in-flight batch as an uninterrupted run receives it.
+        received = sorted([r for r in outstanding if r.returned] + received,
+                          key=lambda r: r.sim_id)
+    elif dead:
+        # A fresh run bootstraps; a resumed one whose last batch all died
+        # re-probes, as the prior run would have.
+        tag, received, sim_seconds = dispatch(
+            initial_sample(lb, ub, batch_size, ctx.rng))
+    else:
+        # Restart at a clean batch boundary: the last ingest ran in replay
+        # and the prior process may have logged its row already, so none
+        # is written for it here.
+        tag, received, sim_seconds = step(None, float("nan"))
+
+    while tag not in STOP_TAGS:
+        outcome = learner.ingest(received)
+        if outcome is None:
+            # Every point came back dead; probe somewhere fresh.
+            tag, received, sim_seconds = dispatch(
+                initial_sample(lb, ub, batch_size, ctx.rng))
+        else:
+            tag, received, sim_seconds = step(outcome, sim_seconds)
+    return tag

@@ -86,7 +86,7 @@ class DefaultAlloc:
     """Sims for idle workers from the pending queue; otherwise one
     generator call at a time. Pairs with non-persistent generators."""
 
-    _warned: set = field(default_factory=set)
+    _warned: set = field(default_factory=set, init=False)
 
     def __call__(self, view, workers, pool):
         actions: list = []
@@ -123,10 +123,10 @@ class PersistentAlloc:
     gen_worker: int = 1
     async_mode: bool = False
     started: bool = False
-    _warned: set = field(default_factory=set)
-    _scanned: int = 0
-    _outstanding: list = field(default_factory=list)
-    _settled_prefix: int = 0  # batch mode: leading outstanding ids settled
+    _warned: set = field(default_factory=set, init=False)
+    _scanned: int = field(default=0, init=False)
+    _outstanding: list = field(default_factory=list, init=False)
+    _settled_prefix: int = field(default=0, init=False)
 
     @classmethod
     def resuming(cls, records, gen_worker: int = 1, async_mode=False):

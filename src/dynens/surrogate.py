@@ -153,6 +153,7 @@ class GaussianProcess:
         self._sq = np.empty((0, input_dim))  # (X_i - X_j)², set by tell
         self._cache: tuple | None = None  # (L, alpha, jitter) at this θ
         self._kernel: np.ndarray | None = None  # Kf, same θ
+        self._short = np.zeros(input_dim, dtype=bool)
 
     # -- data ------------------------------------------------------------
 
@@ -391,16 +392,19 @@ class GaussianProcess:
         return theta, lml, len(seen)
 
     def _warn_on_tiny_lengthscales(self):
+        """Warn for each dimension whose lengthscale is under a tenth of
+        its input range, unless it already was at the previous train."""
         if self.n_train < 2:
             return
         ranges = np.ptp(self.X, axis=0)
-        for d in range(self.input_dim):
-            if ranges[d] > 0 and self.lengthscales[d] < ranges[d] / 10.0:
-                log.warning(
-                    "lengthscale %d = %.3g is under a tenth of the input "
-                    "range %.3g; the fit may be chasing noise",
-                    d, self.lengthscales[d], ranges[d],
-                )
+        short = (ranges > 0) & (self.lengthscales < ranges / 10.0)
+        for d in np.flatnonzero(short & ~self._short):
+            log.warning(
+                "lengthscale %d = %.3g is under a tenth of the input "
+                "range %.3g; the fit may be chasing noise",
+                d, self.lengthscales[d], ranges[d],
+            )
+        self._short = short
 
     # -- metrics ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Application layer: bundled functions, configuration, and the CLI."""
 
+import argparse
 import math
 import os
 
@@ -8,6 +9,7 @@ import pytest
 import yaml
 
 from dynens.app import CONFIGS_DIR, ConfigError, load_config, make_objective
+from dynens.app.cli import _add_override_flags, _load
 from dynens.app.cli import main as cli_main
 from dynens.app.functions import (
     gen_gpu_bucket_batch,
@@ -386,7 +388,8 @@ class TestConfigErrors:
             load_config(write_doc(tmp_path, doc))
 
     def test_negative_seed_override(self, tmp_path):
-        with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
+        with pytest.raises(ConfigError,
+                           match=r"^ensemble\.seed: must be >= 0, got -5$"):
             load_config(write_doc(tmp_path, base_doc(tmp_path)), seed=-5)
 
     def test_gen_on_manager_needs_persistent_pair(self, tmp_path):
@@ -405,6 +408,84 @@ class TestConfigErrors:
         path.write_text("version: [1\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(str(path))
+
+
+# Each override flag: the load_config keyword it becomes, a value, and the
+# document edit that must give the same RunConfig. Inventory paths are
+# relative to the test's working directory.
+FLAG_EDITS = {
+    "--nworkers": ("nworkers", 7, _set("ensemble", "nworkers", 7)),
+    "--comms": ("comms", "gen_on_manager",
+                _set("ensemble", "comms", "gen_on_manager")),
+    "--seed": ("seed", 42, _set("ensemble", "seed", 42)),
+    "--ensemble-dir": ("ensemble_dir", "elsewhere",
+                       _set("ensemble", "ensemble_dir", "elsewhere")),
+    "--platform": ("platform", "frontier",
+                   _set("platform", "name", "frontier")),
+    "--inventory": ("inventory_path", "nodes.txt",
+                    _set("inventory", {"source": "file",
+                                       "path": "nodes.txt"})),
+}
+
+
+class TestFlagsAreDocumentEdits:
+    def test_every_override_flag_is_in_the_table(self):
+        parser = argparse.ArgumentParser()
+        _add_override_flags(parser)
+        options = {opt for action in parser._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        assert options == set(FLAG_EDITS)
+
+    @pytest.mark.parametrize("with_platform", [False, True],
+                             ids=["no_platform", "platform"])
+    @pytest.mark.parametrize("flag", sorted(FLAG_EDITS))
+    def test_flag_equals_edited_document(self, tmp_path, monkeypatch, flag,
+                                         with_platform):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nodes.txt").write_text("a 4 2\nb 4 2\n")
+        keyword, value, edit = FLAG_EDITS[flag]
+        doc = base_doc(tmp_path)
+        if with_platform:
+            doc["platform"] = {"overrides": {"cores_per_node": 4,
+                                             "gpus_per_node": 2}}
+        by_flag = load_config(write_doc(tmp_path, doc), **{keyword: value})
+        edit(doc)
+        by_hand = load_config(write_doc(tmp_path, doc, "edited.yaml"))
+        assert by_flag.run == by_hand.run
+        # The command line maps the flag to that keyword.
+        parser = argparse.ArgumentParser()
+        parser.add_argument("config")
+        _add_override_flags(parser)
+        args = parser.parse_args([str(tmp_path / "config.yaml"),
+                                  flag, str(value)])
+        assert _load(args).run == by_hand.run
+
+    def test_bad_flag_value_names_its_field(self, tmp_path):
+        path = write_doc(tmp_path, base_doc(tmp_path))
+        with pytest.raises(ConfigError, match=r"^ensemble\.nworkers: must"):
+            load_config(path, nworkers=0)
+        with pytest.raises(ConfigError, match=r"^ensemble\.comms: must be"):
+            load_config(path, comms="smoke")
+        with pytest.raises(ConfigError, match=r"^platform: unknown platform"):
+            load_config(path, platform="krakenbox")
+
+    def test_dry_run_with_inventory_flag_and_no_platform(
+            self, tmp_path, capfd, monkeypatch):
+        monkeypatch.delenv("DYNENS_PLATFORM", raising=False)
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("n0 4 4\n")
+        doc = base_doc(tmp_path)
+        doc["gen"]["user"] = {"lb": [1, 0], "ub": [8, 1], "batch_size": 4}
+        doc["exit"] = {"sim_max": 4}
+        doc["sim"] = {"function": "stub_app",
+                      "user": {"app_path": "./forces_stub", "steps": 2}}
+        assert "platform" not in doc
+        assert run_cli("run", write_doc(tmp_path, doc),
+                       "--inventory", str(nodes), "--dry-run") == 0
+        lines = [line for line in capfd.readouterr().out.splitlines()
+                 if "[dry-run]" in line]
+        assert len(lines) == 4
+        assert all("./forces_stub" in line for line in lines)
 
 
 # -- one-shot generator through the default allocator --------------------

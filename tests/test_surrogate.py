@@ -325,6 +325,30 @@ def test_tiny_lengthscale_warns(caplog):
     assert any("lengthscale" in r.message for r in caplog.records)
 
 
+def test_tiny_lengthscale_warns_once_while_it_stays_short(caplog):
+    model = GaussianProcess(1, noise_variance=0.1)
+    model.tell([[0.0], [1.0]], [0.0, 1.0])
+    model.lengthscales = np.array([0.01])
+    model._cache = None
+    # The lengthscale's box is one point, a hundredth of the input range.
+    bounds = np.array([[-2.0, 2.0], [math.log(0.01), math.log(0.01)]])
+    with caplog.at_level(logging.WARNING, logger="dynens.surrogate"):
+        for _ in range(3):
+            model.train("local", bounds=bounds)
+    assert model.lengthscales[0] == pytest.approx(0.01)
+    assert len([r for r in caplog.records if "lengthscale" in r.message]) == 1
+
+
+def test_tiny_lengthscale_warns_again_after_it_recovers(caplog):
+    model = GaussianProcess(1, noise_variance=0.1)
+    model.tell([[0.0], [1.0]], [0.0, 1.0])
+    with caplog.at_level(logging.WARNING, logger="dynens.surrogate"):
+        for lengthscale in (0.01, 0.01, 1.0, 0.01):
+            model.lengthscales = np.array([lengthscale])
+            model._warn_on_tiny_lengthscales()
+    assert len([r for r in caplog.records if "lengthscale" in r.message]) == 2
+
+
 # -- metrics ------------------------------------------------------------
 
 
