@@ -96,6 +96,11 @@ def _cmd_run(args):
         print(line)
     print(f"wall time: {elapsed:.2f}s")
     print(f"history: {os.path.join(run.ensemble_dir, HISTORY_FILENAME)}")
+    # Dry-run stub sims return NaN by design.
+    if not args.dry_run and history.returned_count() and not any(
+            r.returned and math.isfinite(r.f) for r in history):
+        print("error: no returned record has a finite f", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -113,22 +113,33 @@ def _flags(col) -> list[str]:
     return ["1" if v else "0" for v in col]
 
 
-# Scalar columns after the x block, in on-disk order, each with how a whole
-# column of it is spelled: floats by repr (exact round-trip, NaN as 'nan'),
+def _opt(parse):
+    return lambda cell: None if cell == "-" else parse(cell)
+
+
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"bad boolean cell {cell!r}")
+    return cell == "1"
+
+
+# The history format: the scalar columns after the x block, in on-disk and
+# EnsembleRecord field order, each with how a whole column is spelled and
+# how one cell is parsed: floats by repr (exact round-trip, NaN as 'nan'),
 # ints by str, flags as 1/0 and absent values as '-'.
 _SPELL = {
-    "f": _floats,
-    "priority": _floats,
-    "num_procs": _ints,
-    "num_gpus": _ints,
-    "gen_worker": _ints,
-    "sim_worker": _opt_ints,
-    "given": _flags,
-    "returned": _flags,
-    "cancel_requested": _flags,
-    "kill_sent": _flags,
-    "given_time": _opt_floats,
-    "returned_time": _opt_floats,
+    "f": (_floats, float),
+    "priority": (_floats, float),
+    "num_procs": (_ints, int),
+    "num_gpus": (_ints, int),
+    "gen_worker": (_ints, int),
+    "sim_worker": (_opt_ints, _opt(int)),
+    "given": (_flags, _flag),
+    "returned": (_flags, _flag),
+    "cancel_requested": (_flags, _flag),
+    "kill_sent": (_flags, _flag),
+    "given_time": (_opt_floats, _opt(float)),
+    "returned_time": (_opt_floats, _opt(float)),
 }
 _SCALAR_COLS = tuple(_SPELL)
 _scalars = operator.attrgetter(*_SCALAR_COLS)
@@ -149,7 +160,7 @@ def _format_rows(records: Sequence[EnsembleRecord]) -> list[str]:
         x = np.array([r.x for r in chunk], dtype=float)
         cols = [[str(r.sim_id) for r in chunk]]
         cols += map(_floats, x.T.tolist())
-        for spell, col in zip(_SPELL.values(), zip(*map(_scalars, chunk))):
+        for (spell, _), col in zip(_SPELL.values(), zip(*map(_scalars, chunk))):
             cols.append(spell(col))
         rows += map("\t".join, zip(*cols))
     return rows
@@ -488,36 +499,10 @@ class History:
 
     @staticmethod
     def _parse_row(cells: list[str], n_dims: int) -> EnsembleRecord:
-        def opt_float(s: str) -> float | None:
-            return None if s == "-" else float(s)
-
-        def parse_bool(s: str) -> bool:
-            if s == "1":
-                return True
-            if s == "0":
-                return False
-            raise ValueError(f"bad boolean cell {s!r}")
-
-        sim_id = int(cells[0])
         x = np.array([float(c) for c in cells[1 : 1 + n_dims]])
-        rest = dict(zip(_SCALAR_COLS, cells[1 + n_dims :]))
-        sim_worker = rest["sim_worker"]
-        return EnsembleRecord(
-            sim_id=sim_id,
-            x=x,
-            f=float(rest["f"]),
-            priority=float(rest["priority"]),
-            num_procs=int(rest["num_procs"]),
-            num_gpus=int(rest["num_gpus"]),
-            gen_worker=int(rest["gen_worker"]),
-            sim_worker=None if sim_worker == "-" else int(sim_worker),
-            given=parse_bool(rest["given"]),
-            returned=parse_bool(rest["returned"]),
-            cancel_requested=parse_bool(rest["cancel_requested"]),
-            kill_sent=parse_bool(rest["kill_sent"]),
-            given_time=opt_float(rest["given_time"]),
-            returned_time=opt_float(rest["returned_time"]),
-        )
+        return EnsembleRecord(int(cells[0]), x, **{
+            name: parse(cell) for (name, (_, parse)), cell
+            in zip(_SPELL.items(), cells[1 + n_dims :])})
 
 
 def _write_replace(path: str, text: str, stale: str | None = None) -> None:

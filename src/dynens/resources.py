@@ -321,7 +321,7 @@ def load_inventory_file(path: str | os.PathLike) -> NodeInventory:
                 )
             try:
                 nodes.append(Node(parts[0], int(parts[1]), int(parts[2])))
-            except ValueError as exc:
+            except (ValueError, ResourceError) as exc:
                 raise ResourceError(f"{path}:{lineno}: {exc}") from exc
     if not nodes:
         raise ResourceError(f"{path}: no nodes defined")

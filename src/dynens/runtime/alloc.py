@@ -18,6 +18,8 @@ from .messages import Tag, Work, WorkerStatus
 
 log = logging.getLogger(__name__)
 
+GEN_WORKER = 1  # runs the persistent generator; a thread under gen_on_manager
+
 
 @dataclass(frozen=True)
 class Forward:
@@ -106,7 +108,7 @@ class DefaultAlloc:
 
 @dataclass
 class PersistentAlloc:
-    """One persistent generator on worker `gen_worker`; results stream
+    """One persistent generator on worker GEN_WORKER; results stream
     back to it in complete sim_id-sorted batches (or singly when async).
 
     The generator's start message carries every record returned so far,
@@ -120,7 +122,6 @@ class PersistentAlloc:
     the rest of its batch goes on without it.
     """
 
-    gen_worker: int = 1
     async_mode: bool = False
     started: bool = False
     _warned: set = field(default_factory=set, init=False)
@@ -129,27 +130,27 @@ class PersistentAlloc:
     _settled_prefix: int = field(default=0, init=False)
 
     @classmethod
-    def resuming(cls, records, gen_worker: int = 1, async_mode=False):
+    def resuming(cls, records, async_mode=False):
         """Alias of the constructor; `records` is not read."""
-        return cls(gen_worker=gen_worker, async_mode=async_mode)
+        return cls(async_mode=async_mode)
 
     def __call__(self, view, workers, pool):
         actions: list = []
-        state = workers.get(self.gen_worker)
+        state = workers.get(GEN_WORKER)
         if not self.started:
             if state is None or not state.idle:
                 raise RuntimeError(
-                    f"worker {self.gen_worker} unavailable for the generator")
-            actions.append(Work(target_worker=self.gen_worker,
+                    f"worker {GEN_WORKER} unavailable for the generator")
+            actions.append(Work(target_worker=GEN_WORKER,
                                 tag=Tag.EVAL_GEN, persistent=True))
             self.started = True
-            self._outstanding = view.unreturned_gen_ids(self.gen_worker)
+            self._outstanding = view.unreturned_gen_ids(GEN_WORKER)
             self._scanned = len(view)
         elif state is not None and state.status is WorkerStatus.PERSISTENT_GEN:
             # A finished generator drops its worker back to idle, which
             # ends forwarding without any extra bookkeeping here.
             outstanding = self._outstanding
-            outstanding += view.gen_record_ids(self.gen_worker,
+            outstanding += view.gen_record_ids(GEN_WORKER,
                                                start=self._scanned)
             self._scanned = len(view)
             # Ids arrive in sim_id order, so every list here stays sorted.
@@ -171,7 +172,7 @@ class PersistentAlloc:
                 self._settled_prefix = 0
                 ready = tuple(sid for sid in settled if view.is_returned(sid))
                 if ready:
-                    actions.append(Forward(self.gen_worker, ready))
+                    actions.append(Forward(GEN_WORKER, ready))
         _assign_sims(view, workers, pool, actions,
-                     skip_worker=self.gen_worker, warned=self._warned)
+                     skip_worker=GEN_WORKER, warned=self._warned)
         return actions

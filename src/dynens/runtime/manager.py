@@ -29,7 +29,7 @@ from typing import Callable
 
 from ..history import History
 from ..resources import NodeInventory, PlatformSpec, ResourcePool
-from .alloc import DefaultAlloc, Forward
+from .alloc import GEN_WORKER, DefaultAlloc, Forward
 from .messages import (
     ExitCriteria,
     GenBatch,
@@ -271,7 +271,8 @@ class _Manager:
         os.makedirs(self.config.ensemble_dir, exist_ok=True)
         # fork keeps user functions usable without pickling them.
         ctx = mp.get_context("fork")
-        threaded = {1} if self.config.comms == "gen_on_manager" else set()
+        threaded = ({GEN_WORKER} if self.config.comms == "gen_on_manager"
+                    else set())
         # Processes first: a forked child must never inherit a lock some
         # thread holds, nor the write end of a thread's result pipe.
         for wid in sorted(self.states, key=lambda w: w in threaded):

@@ -7,8 +7,10 @@ carries all it sends back. Puts never block the manager, which always
 reads the pipes, so the two cannot deadlock. Work goes only to idle
 workers, so a running simulation finds only KILL or STOP in its inbox.
 The one StopMsg carries PERSIS_STOP to a worker running a persistent
-generator, which reads it through recv, and STOP to every other worker.
-A worker that ends unstopped closes its pipe and so ends the run.
+generator and STOP to every other worker. A worker's loop, a sim's
+poll_signals and a generator's recv all take from the inbox through one
+reader, which notes the stop and each KILL. A worker that ends
+unstopped closes its pipe and so ends the run.
 
 Records travel to workers as a RecordBatch of columns, never as the
 manager's own objects. User functions receive the EnsembleRecords it

@@ -5,11 +5,12 @@ A worker is a plain loop over an inbox. It carries the run's own
 RunConfig, nothing copied out of it. Simulator calls receive a
 WorkerContext (rng stream, directories, resource assignment, kill
 polling); a persistent generator additionally gets the send/recv surface
-it streams batches through. The manager sends each worker one stop, and
-a worker ends once it has read it, whether in its loop, in a sim's
-poll_signals or in a generator's recv. The same loop body runs as a
-separate process (local comms) or as a thread inside the manager
-(gen_on_manager); only the inbox type differs.
+it streams batches through. The loop, a sim's poll_signals and a
+generator's recv all read the inbox through WorkerContext._read, which
+notes the one stop the manager sends, and the worker ends once it has
+read it. The same loop body runs as a separate process (local comms)
+or as a thread inside the manager (gen_on_manager); only the inbox type
+differs.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class WorkerContext:
     functions append to `killed` when they end a run early (kill signal
     or timeout) so the manager can flag those records. `kills_seen` holds
     every sim_id a KILL named during the Work, so a later record of its
-    pack is withdrawn unstarted. `stopping` is set by whichever read takes
-    the worker's stop: the loop's, poll_signals or a generator's recv.
+    pack is withdrawn unstarted. `stopping` is set when _read, the
+    worker's one reader of its inbox, takes the worker's stop.
     """
 
     def __init__(self, worker_id: int, config: RunConfig, inbox):
@@ -95,26 +96,34 @@ class WorkerContext:
         os.makedirs(path, exist_ok=True)
         return path
 
+    def _read(self, block: bool):
+        """The next inbox message; None if block is False and the inbox
+        is empty. A stop sets `stopping` and a KILL's ids join
+        `kills_seen` as they are read."""
+        try:
+            msg = self._inbox.get(block)
+        except queue.Empty:
+            return None
+        if isinstance(msg, StopMsg):
+            self.stopping = True
+        elif isinstance(msg, KillMsg):
+            self.kills_seen.update(msg.sim_ids)
+        return msg
+
     def poll_signals(self) -> list[tuple[str, int | None]]:
         """Drain the inbox, which mid-simulation holds only KILL and STOP.
 
         Returns ("KILL", sim_id) and ("STOP", None) tuples in arrival
         order; kills for sims this worker is not running are still
-        reported and filtered by the caller, and every kill is also kept
-        in `kills_seen`. A STOP also sets `stopping`, so the worker exits
+        reported and filtered by the caller. As it is read, a KILL also
+        joins `kills_seen` and a STOP sets `stopping`, so the worker exits
         once the simulation has returned.
         """
         signals: list[tuple[str, int | None]] = []
-        while True:
-            try:
-                msg = self._inbox.get_nowait()
-            except queue.Empty:
-                break
+        while (msg := self._read(block=False)) is not None:
             if isinstance(msg, KillMsg):
-                self.kills_seen.update(msg.sim_ids)
                 signals.extend(("KILL", sid) for sid in msg.sim_ids)
             elif isinstance(msg, StopMsg):
-                self.stopping = True
                 signals.append(("STOP", None))
             else:
                 log.warning("worker %d: unexpected message mid-simulation %r",
@@ -126,15 +135,15 @@ class PersistentGenContext:
     """Streaming surface for a persistent generator.
 
     send writes to the result pipe, which the manager always reads; recv
-    blocks on the inbox queue, where results forwarded while the generator
-    was busy wait. Attribute access (rng, seed, directories) is shared
-    with the enclosing worker context so generator streams stay continuous.
-    A stop that recv returns also sets that context's `stopping`.
+    takes from the inbox, where results forwarded while the generator was
+    busy wait, through the worker context's reader, which notes the stop.
+    Attribute access (rng, seed, directories) is shared with that context
+    so generator streams stay continuous. It is not a WorkerContext: a
+    generator has no poll_signals to drain its forwarded results through.
     """
 
-    def __init__(self, worker_ctx: WorkerContext, inbox, outbox):
+    def __init__(self, worker_ctx: WorkerContext, outbox):
         self._worker_ctx = worker_ctx
-        self._inbox = inbox
         self._outbox = outbox
         self.worker_id = worker_ctx.worker_id
         self.seed = worker_ctx.seed
@@ -146,9 +155,8 @@ class PersistentGenContext:
         self._outbox.send(GenBatch(self.worker_id, list(points)))
 
     def recv(self) -> tuple[Tag, list]:
-        msg = self._inbox.get()
+        msg = self._worker_ctx._read(block=True)
         if isinstance(msg, StopMsg):
-            self._worker_ctx.stopping = True
             return msg.tag, []
         if isinstance(msg, ResultsMsg):
             return Tag.RESULT, msg.batch.records()
@@ -210,12 +218,12 @@ def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
                         error="\n".join(errors) or None))
 
 
-def _run_gen(ctx: WorkerContext, msg: WorkMsg, inbox, outbox, gen_fn) -> None:
+def _run_gen(ctx: WorkerContext, msg: WorkMsg, outbox, gen_fn) -> None:
     params = ctx.config.gen_params
     records = msg.batch.records()
     try:
         if msg.work.persistent:
-            gen_fn(records, params, PersistentGenContext(ctx, inbox, outbox))
+            gen_fn(records, params, PersistentGenContext(ctx, outbox))
             outbox.send(GenDone(ctx.worker_id))
         else:
             # Sent inside the try: a batch that cannot be pickled is a
@@ -231,27 +239,23 @@ def worker_main(worker_id: int, config: RunConfig, inbox, outbox,
     """Body of one worker; runs until it has read its stop message.
 
     inbox is the queue that carries all the manager sends: work, results
-    forwarded to a persistent generator, KILL and the one stop (a
-    simulation drains KILL and STOP through WorkerContext.poll_signals, a
-    persistent generator reads its PERSIS_STOP through recv). outbox is
-    the write end of the one-way pipe that carries all the worker sends.
+    forwarded to a persistent generator, KILL and the one stop, read only
+    through the context's _read. outbox is the write end of the one-way
+    pipe that carries all the worker sends.
     """
     ctx = WorkerContext(worker_id, config, inbox)
     try:
         while not ctx.stopping:
-            msg = inbox.get()
-            if isinstance(msg, StopMsg):
-                ctx.stopping = True
-                continue
-            if isinstance(msg, KillMsg):
-                continue  # its simulation returned before the kill arrived
+            msg = ctx._read(block=True)
+            if isinstance(msg, (StopMsg, KillMsg)):
+                continue  # a KILL here came after its simulation returned
             if not isinstance(msg, WorkMsg):
                 log.warning("worker %d: ignoring unexpected %r", worker_id, msg)
                 continue
             if msg.work.tag is Tag.EVAL_SIM:
                 _run_sim(ctx, msg, outbox, sim_fn)
             else:
-                _run_gen(ctx, msg, inbox, outbox, gen_fn)
+                _run_gen(ctx, msg, outbox, gen_fn)
     finally:
         outbox.close()  # so a worker thread's end reads as EOF too
     log.debug("worker %d stopped", worker_id)

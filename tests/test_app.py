@@ -487,6 +487,21 @@ class TestFlagsAreDocumentEdits:
         assert len(lines) == 4
         assert all("./forces_stub" in line for line in lines)
 
+    def test_run_with_no_finite_result_exits_1(self, tmp_path, capsys,
+                                               monkeypatch):
+        # No platform: every stub_app sim fails and comes back NaN.
+        monkeypatch.delenv("DYNENS_PLATFORM", raising=False)
+        doc = base_doc(tmp_path)
+        doc["gen"]["user"] = {"lb": [1, 0], "ub": [8, 1], "batch_size": 4}
+        doc["exit"] = {"sim_max": 4}
+        doc["sim"] = {"function": "stub_app",
+                      "user": {"app_path": "./forces_stub", "steps": 2}}
+        assert run_cli("run", write_doc(tmp_path, doc)) == 1
+        captured = capsys.readouterr()
+        assert "failed: 4" in captured.out
+        assert captured.err.endswith(
+            "error: no returned record has a finite f\n")
+
 
 # -- one-shot generator through the default allocator --------------------
 

@@ -3,6 +3,7 @@
 import copy
 import os
 import random
+import re
 import time
 from math import ceil
 
@@ -146,6 +147,13 @@ class TestInventoryFile:
         p = tmp_path / "inv"
         p.write_text("node1 64 8\nnode2 sixty 8\n")
         with pytest.raises(ResourceError, match=":2:"):
+            load_inventory_file(p)
+
+    def test_node_rejected_line_names_file_and_line(self, tmp_path):
+        p = tmp_path / "nodes.txt"
+        p.write_text("# cluster\nn0 0 0\n")
+        with pytest.raises(ResourceError, match=rf"^{re.escape(str(p))}:2: "
+                           "node 'n0': cores must be positive"):
             load_inventory_file(p)
 
     def test_empty_rejected(self, tmp_path):

@@ -939,16 +939,16 @@ class TestWorkerContext:
 
     def test_gen_context_rejects_stray_messages(self):
         inbox, results = queue.Queue(), queue.Queue()
-        ctx = WorkerContext(1, worker_cfg(), queue.Queue())
-        pctx = PersistentGenContext(ctx, inbox, results)
+        ctx = WorkerContext(1, worker_cfg(), inbox)
+        pctx = PersistentGenContext(ctx, results)
         inbox.put(WorkMsg(Work(target_worker=1, tag=Tag.EVAL_GEN)))
         with pytest.raises(ProtocolError):
             pctx.recv()
 
     def test_gen_context_maps_stops(self):
         inbox, results = queue.Queue(), queue.Queue()
-        ctx = WorkerContext(1, worker_cfg(), queue.Queue())
-        pctx = PersistentGenContext(ctx, inbox, results)
+        ctx = WorkerContext(1, worker_cfg(), inbox)
+        pctx = PersistentGenContext(ctx, results)
         inbox.put(StopMsg(Tag.PERSIS_STOP))
         assert not ctx.stopping
         assert pctx.recv() == (Tag.PERSIS_STOP, [])
