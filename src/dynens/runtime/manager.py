@@ -20,11 +20,13 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import os
-import queue
+import selectors
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
+from functools import partial
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable
 
 from ..history import History
@@ -204,6 +206,62 @@ def validate_trace(events) -> None:
         raise ProtocolError("trace violations:\n" + "\n".join(problems))
 
 
+class _Inbox:
+    """The manager's end of one worker's inbox: the write end of a one-way
+    pipe, set non-blocking.
+
+    put frames each message as multiprocessing.Connection.send does, so
+    the worker reads it with recv, and writes what the pipe takes now.
+    The rest waits in a buffer, and the pipe is registered with the
+    manager's selector until the buffer has been written, so a worker
+    that is not reading never blocks the manager. A write that finds
+    the worker gone (BrokenPipeError) drops what it would have written;
+    the worker's closed result pipe ends the run.
+    """
+
+    def __init__(self, conn, selector: selectors.BaseSelector):
+        self._conn = conn
+        self._selector = selector
+        self._unsent = bytearray()
+        os.set_blocking(conn.fileno(), False)
+
+    @property
+    def unsent(self) -> int:
+        """Bytes put but not yet written to the pipe."""
+        return len(self._unsent)
+
+    def put(self, msg) -> None:
+        payload = ForkingPickler.dumps(msg)
+        n = len(payload)
+        frame = (struct.pack("!i", n) if n <= 0x7FFFFFFF
+                 else struct.pack("!iQ", -1, n)) + payload
+        if self._unsent:  # behind bytes that still wait
+            self._unsent += frame
+            return
+        sent = self._write(frame)
+        if sent < len(frame):
+            self._unsent += frame[sent:]
+            self._selector.register(self._conn, selectors.EVENT_WRITE,
+                                    self.flush)
+
+    def flush(self) -> None:
+        """Write what the pipe takes now of the waiting bytes."""
+        del self._unsent[:self._write(self._unsent)]
+        if not self._unsent:
+            self._selector.unregister(self._conn)
+
+    def _write(self, data) -> int:
+        try:
+            return os.write(self._conn.fileno(), data)
+        except BlockingIOError:
+            return 0
+        except BrokenPipeError:
+            return len(data)
+
+    def close(self) -> None:
+        self._conn.close()
+
+
 class _Manager:
     def __init__(self, config: RunConfig, gen_fn, sim_fn, alloc, H0, trace):
         self.config = config
@@ -232,7 +290,10 @@ class _Manager:
                                      match_slots=match_slots)
 
         self.states = {w: WorkerState(w) for w in range(1, config.nworkers + 1)}
-        self.inboxes: dict[int, object] = {}
+        # One selector for the run: every result pipe for reading, and an
+        # inbox for writing while it holds bytes its pipe did not take.
+        self.selector = selectors.DefaultSelector()
+        self.inboxes: dict[int, _Inbox] = {}
         self.conns: dict[object, int] = {}  # result pipe read end -> worker
         self.procs: dict[int, object] = {}
         self.assignments: dict[int, object] = {}
@@ -274,9 +335,9 @@ class _Manager:
         threaded = ({GEN_WORKER} if self.config.comms == "gen_on_manager"
                     else set())
         # Processes first: a forked child must never inherit a lock some
-        # thread holds, nor the write end of a thread's result pipe.
+        # thread holds, nor an end of a thread's pipes.
         for wid in sorted(self.states, key=lambda w: w in threaded):
-            inbox = queue.Queue() if wid in threaded else ctx.Queue()
+            inbox, inbox_writer = ctx.Pipe(duplex=False)
             reader, writer = ctx.Pipe(duplex=False)
             runner = (threading.Thread if wid in threaded else ctx.Process)(
                 target=worker_main, daemon=True,
@@ -284,11 +345,16 @@ class _Manager:
                       self.sim_fn))
             runner.start()
             if wid not in threaded:
-                # With the child holding the only write end, its death
-                # reads as EOF; later forks must not inherit it either.
+                # With the child holding the only read end of its inbox
+                # and the only write end of its result pipe, its death
+                # breaks the one and reads as EOF on the other; later
+                # forks must not inherit them either.
+                inbox.close()
                 writer.close()
-            self.inboxes[wid] = inbox
+            self.inboxes[wid] = _Inbox(inbox_writer, self.selector)
             self.conns[reader] = wid
+            self.selector.register(reader, selectors.EVENT_READ,
+                                   partial(self._recv_from, reader))
             self.procs[wid] = runner
 
     # -- cycle pieces ----------------------------------------------------
@@ -333,21 +399,26 @@ class _Manager:
         self.inboxes[action.target_worker].put(WorkMsg(action, batch))
 
     def _receive(self, timeout: float = RECV_TIMEOUT) -> None:
-        """Process one message from each worker that has sent one."""
-        for conn in wait(list(self.conns), timeout):
-            try:
-                msg = conn.recv()
-            except EOFError:  # the worker ended; only an idle, stopped one may
-                conn.close()
-                wid = self.conns.pop(conn)
-                was_idle = self.states[wid].idle
-                self.states[wid].status = WorkerStatus.IDLE
-                if not self.stopping:
-                    raise EnsembleError(f"worker {wid} exited unexpectedly")
-                if not was_idle:
-                    log.warning("worker %d died during shutdown", wid)
-            else:
-                self._process(msg)
+        """Write what each inbox that was full can now take, and process
+        one message from each worker that has sent one."""
+        for key, _ in self.selector.select(timeout):
+            key.data()
+
+    def _recv_from(self, conn) -> None:
+        try:
+            msg = conn.recv()
+        except EOFError:  # the worker ended; only an idle, stopped one may
+            self.selector.unregister(conn)
+            conn.close()
+            wid = self.conns.pop(conn)
+            was_idle = self.states[wid].idle
+            self.states[wid].status = WorkerStatus.IDLE
+            if not self.stopping:
+                raise EnsembleError(f"worker {wid} exited unexpectedly")
+            if not was_idle:
+                log.warning("worker %d died during shutdown", wid)
+        else:
+            self._process(msg)
 
     def _process(self, msg) -> None:
         if isinstance(msg, SimDone):
@@ -458,7 +529,9 @@ class _Manager:
         A running persistent generator gets PERSIS_STOP, every other
         worker STOP. Once `stopping` is set, late results still land in
         the history, late batches are dropped, and a sim error, a crash
-        or a worker's exit is only logged.
+        or a worker's exit is only logged. Receiving goes on until every
+        worker is idle and every inbox has been written to its pipe (a
+        gone worker's inbox drops what it holds), or the timeout.
         """
         self.stopping = True
         for wid, inbox in self.inboxes.items():
@@ -466,32 +539,27 @@ class _Manager:
             inbox.put(StopMsg(Tag.PERSIS_STOP if persistent else Tag.STOP))
 
         deadline = time.monotonic() + SHUTDOWN_TIMEOUT
-        while any(not s.idle for s in self.states.values()):
+        while waiting := [w for w, s in self.states.items()
+                          if not s.idle or self.inboxes[w].unsent]:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                busy = [w for w, s in self.states.items() if not s.idle]
-                log.warning("shutdown timed out waiting on workers %s", busy)
+                log.warning("shutdown timed out waiting on workers %s", waiting)
                 break
             try:
                 self._receive(min(RECV_TIMEOUT, remaining))
             except Exception:
                 log.exception("error processing a shutdown message")
 
-        for wid, runner in self.procs.items():
+        for runner in self.procs.values():
             runner.join(timeout=max(0.0, deadline - time.monotonic()) + 2.0)
-            if isinstance(runner, threading.Thread):
-                continue
-            if runner.is_alive():
+            if not isinstance(runner, threading.Thread) and runner.is_alive():
                 runner.terminate()
                 runner.join(1.0)
-            # A worker that read its STOP left nothing in its inbox for the
-            # feeder thread to write; a dead one may never drain it.
-            if runner.exitcode != 0:
-                self.inboxes[wid].cancel_join_thread()
-            self.inboxes[wid].close()
-            self.inboxes[wid].join_thread()
+        for inbox in self.inboxes.values():
+            inbox.close()
         for conn in self.conns:
             conn.close()
+        self.selector.close()
 
 
 def run_ensemble(

@@ -1,11 +1,14 @@
 """Message vocabulary shared by the manager, workers, and user functions.
 
 Everything that crosses a channel is a plain picklable dataclass. A
-worker's inbox queue carries all the manager sends (work, forwarded
-results, KILL, and at the end of the run one StopMsg); a one-way pipe
-carries all it sends back. Puts never block the manager, which always
-reads the pipes, so the two cannot deadlock. Work goes only to idle
-workers, so a running simulation finds only KILL or STOP in its inbox.
+worker's inbox is a one-way pipe that carries all the manager sends
+(work, forwarded results, KILL, and at the end of the run one StopMsg);
+a second one-way pipe carries all it sends back. Both comms modes use
+the same inbox type. The manager writes an inbox without blocking and
+finishes a partial write from its selector, which also reads every
+result pipe, so the two directions cannot deadlock. Work goes only to
+idle workers, so a running simulation finds only KILL or STOP in its
+inbox.
 The one StopMsg carries PERSIS_STOP to a worker running a persistent
 generator and STOP to every other worker. A worker's loop, a sim's
 poll_signals and a generator's recv all take from the inbox through one

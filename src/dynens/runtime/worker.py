@@ -1,23 +1,24 @@
 """Worker side of the engine: the loop a worker runs and the contexts
 handed to user functions.
 
-A worker is a plain loop over an inbox. It carries the run's own
+A worker is a plain loop over an inbox, the read end of a one-way pipe
+that the manager writes without blocking, finishing partial writes from
+its selector. It carries the run's own
 RunConfig, nothing copied out of it. Simulator calls receive a
 WorkerContext (rng stream, directories, resource assignment, kill
 polling); a persistent generator additionally gets the send/recv surface
 it streams batches through. The loop, a sim's poll_signals and a
 generator's recv all read the inbox through WorkerContext._read, which
 notes the one stop the manager sends, and the worker ends once it has
-read it. The same loop body runs as a separate process (local comms)
-or as a thread inside the manager (gen_on_manager); only the inbox type
-differs.
+read it. The same loop body, with the same inbox type, runs as a
+separate process (local comms) or as a thread inside the manager
+(gen_on_manager).
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import queue
 import traceback
 from typing import TYPE_CHECKING
 
@@ -100,10 +101,9 @@ class WorkerContext:
         """The next inbox message; None if block is False and the inbox
         is empty. A stop sets `stopping` and a KILL's ids join
         `kills_seen` as they are read."""
-        try:
-            msg = self._inbox.get(block)
-        except queue.Empty:
+        if not block and not self._inbox.poll():
             return None
+        msg = self._inbox.recv()
         if isinstance(msg, StopMsg):
             self.stopping = True
         elif isinstance(msg, KillMsg):
@@ -238,10 +238,12 @@ def worker_main(worker_id: int, config: RunConfig, inbox, outbox,
                 gen_fn=None, sim_fn=None) -> None:
     """Body of one worker; runs until it has read its stop message.
 
-    inbox is the queue that carries all the manager sends: work, results
-    forwarded to a persistent generator, KILL and the one stop, read only
-    through the context's _read. outbox is the write end of the one-way
-    pipe that carries all the worker sends.
+    inbox is the read end of the one-way pipe that carries all the
+    manager sends: work, results forwarded to a persistent generator,
+    KILL and the one stop, read only through the context's _read. The
+    manager writes it without blocking and finishes a partial write from
+    its selector, in both comms modes. outbox is the write end of the
+    one-way pipe that carries all the worker sends.
     """
     ctx = WorkerContext(worker_id, config, inbox)
     try:
@@ -257,5 +259,8 @@ def worker_main(worker_id: int, config: RunConfig, inbox, outbox,
             else:
                 _run_gen(ctx, msg, outbox, gen_fn)
     finally:
-        outbox.close()  # so a worker thread's end reads as EOF too
+        # So a worker thread's end reads as EOF too, and the manager's
+        # writes to its inbox fail as they do for a process's.
+        outbox.close()
+        inbox.close()
     log.debug("worker %d stopped", worker_id)

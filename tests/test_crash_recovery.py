@@ -79,11 +79,14 @@ def assert_same_run(a: History, b: History) -> None:
 
 
 def test_killed_run_reloads_as_a_prefix_and_resumes(tmp_path):
-    """SIGKILL a resumed run (manager and workers) after seeded delays; each
+    """SIGKILL a resumed run (manager and workers) after seeded delays,
+    drawn as fractions of how long the uninterrupted run took; each
     time its directory must load as a prefix of the uninterrupted run, and
     resuming it in place must finish that run record for record."""
     H0 = prior_history()
+    t0 = time.monotonic()
     run = resume(str(tmp_path / "uninterrupted"), H0)
+    run_s = time.monotonic() - t0
     assert len(run) == run.returned_count() == SIM_MAX
 
     ctx = mp.get_context("fork")
@@ -99,7 +102,7 @@ def test_killed_run_reloads_as_a_prefix_and_resumes(tmp_path):
         child.start()
         try:
             assert ready.wait(timeout=30)
-            time.sleep(delays.uniform(0.0, 0.2))
+            time.sleep(delays.uniform(0.0, 1.5) * run_s)
         finally:
             try:
                 os.killpg(child.pid, signal.SIGKILL)

@@ -39,7 +39,7 @@ from dynens.runtime import (
     validate_trace,
     worker_main,
 )
-from dynens.runtime.manager import _Manager
+from dynens.runtime.manager import _Inbox, _Manager
 from dynens.runtime.messages import (
     GenBatch,
     GenDone,
@@ -188,6 +188,15 @@ def sleepy_gen(history_in, params, ctx):
         got += len(recs)
     tag, _ = ctx.send_recv([GenPoint(x) for x in ctx.rng.uniform(0, 1, (1, d))])
     return tag
+
+
+def starved_gen(history_in, params, ctx):
+    """Persistent generator that sends one batch, sleeps while its
+    results are forwarded to it unread, then kills its own process."""
+    n, d = int(params["batch_size"]), len(params["lb"])
+    ctx.send([GenPoint(x) for x in ctx.rng.uniform(0, 1, (n, d))])
+    time.sleep(params["sleep"])
+    os._exit(1)
 
 
 def recording_gen(history_in, params, ctx):
@@ -358,7 +367,6 @@ def assert_nothing_left_running(threads_before):
     assert mp.active_children() == []
     started = [t for t in threading.enumerate() if t not in threads_before]
     for t in started:
-        # A dead worker's inbox feeder is not waited for; it ends on its own.
         t.join(timeout=2)
     assert not [t for t in started if t.is_alive()]
 
@@ -695,7 +703,18 @@ class TestValidateTrace:
 
 
 # ---------------------------------------------------------------------------
-# worker loop in isolation (threaded: a plain queue inbox, a result pipe)
+# worker loop in isolation (threaded: an inbox pipe, a result pipe)
+
+
+class PipeInbox:
+    """A worker's inbox pipe: the worker reads `reader`; put writes to
+    the other end as the manager does."""
+
+    def __init__(self):
+        self.reader, self.writer = mp.Pipe(duplex=False)
+
+    def put(self, msg):
+        self.writer.send(msg)
 
 
 class ResultPipe:
@@ -712,12 +731,12 @@ class ResultPipe:
 
 class ThreadedWorker:
     def __init__(self, worker_id=2, gen_fn=None, sim_fn=None, **cfg_kw):
-        self.inbox = queue.Queue()
+        self.inbox = PipeInbox()
         self.results = ResultPipe()
         cfg = worker_cfg(**cfg_kw)
         self.thread = threading.Thread(
             target=worker_main,
-            args=(worker_id, cfg, self.inbox, self.results.writer,
+            args=(worker_id, cfg, self.inbox.reader, self.results.writer,
                   gen_fn, sim_fn),
             daemon=True)
         self.thread.start()
@@ -887,10 +906,10 @@ class TestPackedWork:
     it starts, so the drain between records always finds them."""
 
     def run_pack(self, *signals):
-        inbox = queue.Queue()
+        inbox = PipeInbox()
         for msg in signals:
             inbox.put(msg)
-        ctx = WorkerContext(2, worker_cfg(), inbox)
+        ctx = WorkerContext(2, worker_cfg(), inbox.reader)
         entered, outbox = [], SentList()
 
         def sim(records, params, ctx):
@@ -925,29 +944,29 @@ class TestPackedWork:
 
 class TestWorkerContext:
     def test_poll_signals_drains_in_order(self):
-        inbox = queue.Queue()
-        ctx = WorkerContext(3, worker_cfg(), inbox)
+        inbox = PipeInbox()
+        ctx = WorkerContext(3, worker_cfg(), inbox.reader)
         inbox.put(KillMsg((4, 5)))
         inbox.put(StopMsg())
         assert ctx.poll_signals() == [("KILL", 4), ("KILL", 5), ("STOP", None)]
         assert ctx.poll_signals() == []
 
     def test_executor_needs_a_platform(self):
-        ctx = WorkerContext(2, worker_cfg(), queue.Queue())
+        ctx = WorkerContext(2, worker_cfg(), PipeInbox().reader)
         with pytest.raises(ProtocolError, match="platform"):
             ctx.executor
 
     def test_gen_context_rejects_stray_messages(self):
-        inbox, results = queue.Queue(), queue.Queue()
-        ctx = WorkerContext(1, worker_cfg(), inbox)
+        inbox, results = PipeInbox(), SentList()
+        ctx = WorkerContext(1, worker_cfg(), inbox.reader)
         pctx = PersistentGenContext(ctx, results)
         inbox.put(WorkMsg(Work(target_worker=1, tag=Tag.EVAL_GEN)))
         with pytest.raises(ProtocolError):
             pctx.recv()
 
     def test_gen_context_maps_stops(self):
-        inbox, results = queue.Queue(), queue.Queue()
-        ctx = WorkerContext(1, worker_cfg(), inbox)
+        inbox, results = PipeInbox(), SentList()
+        ctx = WorkerContext(1, worker_cfg(), inbox.reader)
         pctx = PersistentGenContext(ctx, results)
         inbox.put(StopMsg(Tag.PERSIS_STOP))
         assert not ctx.stopping
@@ -1763,6 +1782,61 @@ class TestRunEnsemble:
             > PIPE_BUFFER
         assert len(pickle.dumps(ResultsMsg(RecordBatch.of(batch)))) > PIPE_BUFFER
         assert_nothing_left_running(threads_before)
+
+    def test_dead_generator_with_forwards_unsent_ends_the_run(self, tmp_path,
+                                                              monkeypatch):
+        """Forwards its pipe cannot take wait in the manager while the
+        generator sleeps; once its process dies they are dropped and the
+        run ends at once, its history dumped."""
+        peak_unsent = [0]
+        real_put = _Inbox.put
+
+        def noting_put(self, msg):
+            real_put(self, msg)
+            peak_unsent[0] = max(peak_unsent[0], self.unsent)
+
+        monkeypatch.setattr(_Inbox, "put", noting_put)
+        threads_before = set(threading.enumerate())
+        n, d = 400, 24
+        box = {"lb": [0.0] * d, "ub": [1.0] * d, "batch_size": n, "sleep": 1.0}
+        cfg = run_cfg(tmp_path, n_dims=d, gen_params=box,
+                      exit_criteria=ExitCriteria(sim_max=n + 1,
+                                                 wallclock_max=20))
+        t0 = time.monotonic()
+        with pytest.raises(EnsembleError,
+                           match="worker 1 exited unexpectedly"):
+            run_ensemble(cfg, starved_gen, norm_sim,
+                         alloc=PersistentAlloc(async_mode=True))
+        assert time.monotonic() - t0 < 5
+        assert_nothing_left_running(threads_before)
+        hist = History.load(str(tmp_path / "ens" / "history.tsv"))
+        assert len(hist) == hist.returned_count() == n
+        # More than a pipe buffer's worth was forwarded to the sleeper,
+        # and some of it waited in the manager, unsent.
+        assert len(pickle.dumps(ResultsMsg(RecordBatch.of(hist.records)))) \
+            > PIPE_BUFFER
+        assert peak_unsent[0] > 0
+
+    @pytest.mark.parametrize("comms, threads", [("local", 0),
+                                                ("gen_on_manager", 1)])
+    def test_only_a_threaded_generator_starts_a_thread(self, tmp_path,
+                                                        monkeypatch, comms,
+                                                        threads):
+        """The manager sends to its workers without helper threads: a
+        local run starts none, a gen_on_manager run only worker 1's."""
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(self):
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        cfg = run_cfg(tmp_path, comms=comms, gen_params=dict(GEN_BOX))
+        _, flag = run_ensemble(cfg, random_batch_gen, norm_sim,
+                               alloc=PersistentAlloc())
+        assert flag == "sim_max"
+        assert len(started) == threads
 
     def test_nworkers_validation(self, tmp_path):
         with pytest.raises(ValueError, match="nworkers"):
