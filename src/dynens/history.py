@@ -11,10 +11,15 @@ rows that changed to a journal beside the table, which History.load folds
 over it. The sidecar holds only per-run constants, so it never disagrees with
 the table, and a crash at any point leaves files that load as an earlier dump.
 
-Records change only through History's write methods and its append entry
-point, which keep the running indexes (returned count, best f, pending ids)
-and the cached dump rows current; setting a record's field directly leaves
-them stale.
+A History keeps its records as numpy columns that grow geometrically: x is
+one (capacity x n_dims) float64 block and every other field one array, with
+NaN for an absent time and -1 for an absent sim_worker. get, iteration and
+the records sequence hand out EnsembleRecord copies built from the columns,
+so changing one leaves the history as it was. Records change only through
+History's write methods and append, which copies a record's values in; they
+keep the running indexes (returned count, best f, pending ids) and the
+cached dump rows current. Bulk readers (adoption, the batches sent to
+workers, the allocator's scans, dump) copy whole columns instead of records.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -123,45 +129,70 @@ def _flag(cell: str) -> bool:
     return cell == "1"
 
 
+class _Column(NamedTuple):
+    spell: Callable   # a column of values -> its cells
+    parse: Callable   # one cell -> its value
+    dtype: type       # of the History column
+    absent: object    # what the History column holds for None, if allowed
+
+
 # The history format: the scalar columns after the x block, in on-disk and
-# EnsembleRecord field order, each with how a whole column is spelled and
-# how one cell is parsed: floats by repr (exact round-trip, NaN as 'nan'),
-# ints by str, flags as 1/0 and absent values as '-'.
+# EnsembleRecord field order, each with how a whole column is spelled, how
+# one cell is parsed and how History stores it: floats by repr (exact
+# round-trip, NaN as 'nan'), ints by str, flags as 1/0 and absent values
+# as '-'.
 _SPELL = {
-    "f": (_floats, float),
-    "priority": (_floats, float),
-    "num_procs": (_ints, int),
-    "num_gpus": (_ints, int),
-    "gen_worker": (_ints, int),
-    "sim_worker": (_opt_ints, _opt(int)),
-    "given": (_flags, _flag),
-    "returned": (_flags, _flag),
-    "cancel_requested": (_flags, _flag),
-    "kill_sent": (_flags, _flag),
-    "given_time": (_opt_floats, _opt(float)),
-    "returned_time": (_opt_floats, _opt(float)),
+    "f": _Column(_floats, float, np.float64, None),
+    "priority": _Column(_floats, float, np.float64, None),
+    "num_procs": _Column(_ints, int, np.int64, None),
+    "num_gpus": _Column(_ints, int, np.int64, None),
+    "gen_worker": _Column(_ints, int, np.int64, None),
+    "sim_worker": _Column(_opt_ints, _opt(int), np.int64, -1),
+    "given": _Column(_flags, _flag, np.bool_, None),
+    "returned": _Column(_flags, _flag, np.bool_, None),
+    "cancel_requested": _Column(_flags, _flag, np.bool_, None),
+    "kill_sent": _Column(_flags, _flag, np.bool_, None),
+    "given_time": _Column(_opt_floats, _opt(float), np.float64, math.nan),
+    "returned_time": _Column(_opt_floats, _opt(float), np.float64, math.nan),
 }
 _SCALAR_COLS = tuple(_SPELL)
 _scalars = operator.attrgetter(*_SCALAR_COLS)
+# A new record's stored values: EnsembleRecord's defaults.
+_DEFAULTS = {fld.name: _SPELL[fld.name].absent if fld.default is None else fld.default
+             for fld in fields(EnsembleRecord) if fld.name in _SPELL}
 
 # Records formatted together; bounds the temporary column lists.
 _FORMAT_CHUNK = 512
+
+
+def _decode(col: _Column, values: list) -> list:
+    """Python values read from a History column, None where absent."""
+    if col.absent is None:
+        return values
+    return [None if v != v or v == col.absent else v for v in values]
+
+
+def _record_cells(records: Sequence[EnsembleRecord]):
+    """(sim ids, x block, scalar columns) of records held as objects."""
+    x = np.array([r.x for r in records], dtype=float)
+    return [r.sim_id for r in records], x, zip(*map(_scalars, records))
 
 
 def _format_rows(records: Sequence[EnsembleRecord]) -> list[str]:
     """Each record as its dump line, without the newline.
 
     Built a column at a time over chunks of records; x cells are the
-    repr of each coordinate as a Python float.
+    repr of each coordinate as a Python float. A History's Records are
+    read from its columns, without building a record.
     """
     rows: list[str] = []
     for start in range(0, len(records), _FORMAT_CHUNK):
         chunk = records[start:start + _FORMAT_CHUNK]
-        x = np.array([r.x for r in chunk], dtype=float)
-        cols = [[str(r.sim_id) for r in chunk]]
+        sim_ids, x, scalars = (chunk._cells() if isinstance(chunk, Records)
+                               else _record_cells(chunk))
+        cols = [list(map(str, sim_ids))]
         cols += map(_floats, x.T.tolist())
-        for (spell, _), col in zip(_SPELL.values(), zip(*map(_scalars, chunk))):
-            cols.append(spell(col))
+        cols += (c.spell(col) for c, col in zip(_SPELL.values(), scalars))
         rows += map("\t".join, zip(*cols))
     return rows
 
@@ -188,15 +219,51 @@ def records_equal(a: EnsembleRecord, b: EnsembleRecord, include_times: bool = Fa
     return True
 
 
+class Records(Sequence):
+    """Some records of a History, in order, as EnsembleRecord copies read
+    from its columns when indexed or iterated; a slice is another
+    Records."""
+
+    def __init__(self, history: "History", ids: Sequence[int]):
+        self._history = history
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self._history, self._ids[i])
+        return self._history.get(self._ids[i])
+
+    def __iter__(self):
+        for start in range(0, len(self._ids), _FORMAT_CHUNK):
+            yield from self._history._records(self._ids[start:start + _FORMAT_CHUNK])
+
+    def __reduce__(self):
+        # Pickled as the list of records it reads now, not as its history.
+        return list, (list(self),)
+
+    def _cells(self):
+        """(sim ids, x block, scalar columns) read from the columns."""
+        x, *scalars = self._history.columns("x", *_SPELL, ids=self._ids)
+        return self._ids, x, [_decode(c, col.tolist())
+                              for c, col in zip(_SPELL.values(), scalars)]
+
+
 class History:
-    """Ordered list of evaluation records plus the run's start time."""
+    """Ordered evaluation records, kept as columns, plus the run's start
+    time."""
 
     def __init__(self, n_dims: int, start_time: float | None = None):
         if n_dims < 1:
             raise HistoryError(f"n_dims must be >= 1, got {n_dims}")
         self.n_dims = n_dims
         self.start_time = time.time() if start_time is None else start_time
-        self.records: list[EnsembleRecord] = []
+        # Rows [0, _n) of the columns hold the records; the rest is room.
+        self._n = 0
+        self._x = np.empty((0, n_dims))
+        self._cols = {name: np.empty(0, c.dtype) for name, c in _SPELL.items()}
         # Indexes kept by the write methods, so no query scans the table.
         self._returned = 0
         self._best_f = math.nan
@@ -211,17 +278,85 @@ class History:
         self._table: str | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._n
 
     def __iter__(self):
         return iter(self.records)
 
+    @property
+    def records(self) -> Records:
+        """Every record so far, as copies read on access."""
+        return Records(self, range(self._n))
+
     def get(self, sim_id: int) -> EnsembleRecord:
-        if not 0 <= sim_id < len(self.records):
-            raise HistoryError(f"unknown sim_id {sim_id} (history has {len(self.records)} records)")
-        return self.records[sim_id]
+        """A copy of record sim_id."""
+        return EnsembleRecord(sim_id, self.field(sim_id, "x"),
+                              *(self.field(sim_id, name) for name in _SPELL))
+
+    def field(self, sim_id: int, name: str):
+        """One field of record sim_id, as get(sim_id) would hold it,
+        without building the record."""
+        self._check(sim_id)
+        if name == "x":
+            return self._x[sim_id].copy()
+        value = self._cols[name].item(sim_id)
+        absent = _SPELL[name].absent
+        if absent is not None and (value != value or value == absent):
+            return None
+        return value
+
+    def columns(self, *names: str, ids: Sequence[int] | None = None) -> list[np.ndarray]:
+        """Copies of the named columns over ids (which must name records
+        of this history), or over every record: "x" is the
+        (len(ids), n_dims) block, any other name the stored field, NaN
+        for an absent time and -1 for an absent sim_worker."""
+        sel = self._selection(ids)
+        out = []
+        for name in names:
+            col = (self._x if name == "x" else self._cols[name])[sel]
+            out.append(col.copy() if isinstance(sel, slice) else col)
+        return out
+
+    def _selection(self, ids: Sequence[int] | None):
+        """ids as a numpy index into the columns: a slice when they are
+        consecutive, as a manager's packs and forwards mostly are."""
+        if ids is None:
+            return slice(0, self._n)
+        if not len(ids):
+            return slice(0, 0)
+        consecutive = ((isinstance(ids, range) and ids.step == 1)
+                       or all(b == a + 1 for a, b in zip(ids, ids[1:])))
+        lo, hi = (ids[0], ids[-1]) if consecutive else (min(ids), max(ids))
+        if not 0 <= lo <= hi < self._n:
+            raise HistoryError(f"sim_ids {lo} to {hi} are not all in a history "
+                               f"of {self._n} records")
+        return slice(lo, hi + 1) if consecutive else np.asarray(ids, dtype=np.intp)
+
+    def _check(self, sim_id: int) -> None:
+        if not 0 <= sim_id < self._n:
+            raise HistoryError(f"unknown sim_id {sim_id} (history has {self._n} records)")
+
+    def _records(self, ids: Sequence[int]) -> list[EnsembleRecord]:
+        sim_ids, x, scalars = Records(self, ids)._cells()
+        return [EnsembleRecord(*values) for values in zip(sim_ids, x, *scalars)]
 
     # -- writes ----------------------------------------------------------
+
+    def _reserve(self, k: int) -> None:
+        """Room for k more records, doubling the columns as needed. The
+        room holds EnsembleRecord's defaults, so a new record writes only
+        the fields that differ."""
+        n, cap = self._n, len(self._x)
+        if n + k <= cap:
+            return
+        cap = max(n + k, 2 * cap, 64)
+        x = np.empty((cap, self.n_dims))
+        x[:n] = self._x[:n]
+        self._x = x
+        for name, old in self._cols.items():
+            col = np.full(cap, _DEFAULTS[name], old.dtype)
+            col[:n] = old[:n]
+            self._cols[name] = col
 
     def submit_points(self, points: Sequence[GenPoint], gen_worker: int) -> list[int]:
         """Append one record per point; returns the assigned sim_ids."""
@@ -231,86 +366,120 @@ class History:
                 raise HistoryError(
                     f"point {i}: x has shape {p.x.shape}, expected ({self.n_dims},)"
                 )
-        ids = []
-        for p in points:
-            rec = EnsembleRecord(
-                sim_id=len(self.records),
-                x=p.x.copy(),
-                priority=p.priority,
-                num_procs=int(p.num_procs),
-                num_gpus=int(p.num_gpus),
-                gen_worker=gen_worker,
-            )
-            self.append(rec)
-            ids.append(rec.sim_id)
-        return ids
+        if not points:
+            return []
+        self._reserve(len(points))
+        new = slice(self._n, self._n + len(points))
+        self._x[new] = [p.x for p in points]
+        c = self._cols
+        c["priority"][new] = [p.priority for p in points]
+        c["num_procs"][new] = [int(p.num_procs) for p in points]
+        c["num_gpus"][new] = [int(p.num_gpus) for p in points]
+        c["gen_worker"][new] = gen_worker
+        ids = range(new.start, new.stop)
+        self._n = new.stop
+        self._rows += [None] * len(points)
+        self._pending.update(ids)
+        return list(ids)
 
     def append(self, rec: EnsembleRecord) -> None:
-        """Append an existing record (not copied) as the next sim_id. Its
-        float cells are stored as Python floats: numpy's would dump as
-        'np.float64(...)', which load rejects."""
-        if rec.sim_id != len(self.records):
+        """Append a copy of a record's values as the next sim_id; rec
+        itself is not kept. Floats are stored as float64, so numpy float
+        cells dump as Python floats do."""
+        if rec.sim_id != self._n:
             raise HistoryError(
-                f"appended sim_id {rec.sim_id} != next id {len(self.records)}")
+                f"appended sim_id {rec.sim_id} != next id {self._n}")
         if rec.x.shape != (self.n_dims,):
             raise HistoryError(
                 f"appended x has shape {rec.x.shape}, expected ({self.n_dims},)")
-        rec.f, rec.priority = float(rec.f), float(rec.priority)
-        if rec.given_time is not None:
-            rec.given_time = float(rec.given_time)
-        if rec.returned_time is not None:
-            rec.returned_time = float(rec.returned_time)
-        self.records.append(rec)
+        self._reserve(1)
+        sid = self._n
+        self._x[sid] = rec.x
+        for name, c in _SPELL.items():
+            value = getattr(rec, name)
+            self._cols[name][sid] = c.absent if value is None else value
+        self._n += 1
         self._rows.append(None)
         if rec.returned:
             self._returned += 1
-            self._note_f(rec.f)
+            self._note_f(float(rec.f))
         if not rec.given and not rec.cancel_requested:
-            self._pending.add(rec.sim_id)
+            self._pending.add(sid)
+
+    def adopt(self, other: "History") -> None:
+        """Copy every record of other into this empty history, column by
+        column, with other's indexes and cached dump rows: a row on disk
+        is not formatted again."""
+        if self._n:
+            raise HistoryError(f"adopting into a history of {self._n} records")
+        if other.n_dims != self.n_dims:
+            raise HistoryError(f"adopted history has {other.n_dims} dims, "
+                               f"expected {self.n_dims}")
+        n = other._n
+        self._reserve(n)
+        self._x[:n] = other._x[:n]
+        for name, col in self._cols.items():
+            col[:n] = other._cols[name][:n]
+        self._n = n
+        self._returned, self._best_f = other._returned, other._best_f
+        self._pending = set(other._pending)
+        self._rows = other._rows.copy()
+        self._changed = other._changed.copy()
+        self._dumped = other._dumped
 
     def _note_f(self, f: float) -> None:
         if not math.isnan(f) and (math.isnan(self._best_f) or f < self._best_f):
             self._best_f = f
 
     def mark_given(self, sim_ids: Iterable[int], sim_worker: int, given_time: float) -> None:
+        c, n, rows = self._cols, self._n, self._rows
+        given, worker, times = c["given"], c["sim_worker"], c["given_time"]
         for sid in sim_ids:
-            rec = self.get(sid)
-            if rec.given:
+            if not 0 <= sid < n:
+                self._check(sid)
+            if given[sid]:
                 raise HistoryError(f"sim_id {sid} already given")
-            rec.given = True
-            rec.sim_worker = sim_worker
-            rec.given_time = given_time
+            given[sid] = True
+            worker[sid] = sim_worker
+            times[sid] = given_time
             self._pending.discard(sid)
-            self._touch(sid)
+            if rows[sid] is not None:
+                self._touch(sid)
 
     def withdraw(self, sim_ids: Iterable[int]) -> None:
         """Take back given records that never started: no worker, no given
         time, and pending again unless cancelled."""
+        c = self._cols
         for sid in sim_ids:
-            rec = self.get(sid)
-            if rec.returned:
+            self._check(sid)
+            if c["returned"][sid]:
                 raise HistoryError(f"sim_id {sid} withdrawn after it returned")
-            rec.given = False
-            rec.sim_worker = None
-            rec.given_time = None
-            if not rec.cancel_requested:
+            c["given"][sid] = False
+            c["sim_worker"][sid] = -1
+            c["given_time"][sid] = math.nan
+            if not c["cancel_requested"][sid]:
                 self._pending.add(sid)
             self._touch(sid)
 
     def update_with_results(self, results: Iterable[tuple[int, float]], returned_time: float) -> None:
         """Record f for sim_ids that were given and have not yet returned."""
+        c, n, rows = self._cols, self._n, self._rows
+        f, given, returned, times = c["f"], c["given"], c["returned"], c["returned_time"]
         for sid, fval in results:
-            rec = self.get(sid)
-            if not rec.given:
+            if not 0 <= sid < n:
+                self._check(sid)
+            if not given[sid]:
                 raise HistoryError(f"sim_id {sid} returned a result but was never given")
-            if rec.returned:
+            if returned[sid]:
                 raise HistoryError(f"sim_id {sid} returned twice")
-            rec.f = float(fval)
-            rec.returned = True
-            rec.returned_time = returned_time
+            fval = float(fval)
+            f[sid] = fval
+            returned[sid] = True
+            times[sid] = returned_time
             self._returned += 1
-            self._note_f(rec.f)
-            self._touch(sid)
+            self._note_f(fval)
+            if rows[sid] is not None:
+                self._touch(sid)
 
     def mark_cancel(self, sim_ids: Iterable[int]) -> list[int]:
         """Set cancel_requested; returns the subset currently running.
@@ -318,22 +487,24 @@ class History:
         Running means given and not returned: those need a kill signal, on
         which the caller sets kill_sent after dispatching.
         """
+        c = self._cols
         running = []
         for sid in sim_ids:
-            rec = self.get(sid)
-            rec.cancel_requested = True
+            self._check(sid)
+            c["cancel_requested"][sid] = True
             self._pending.discard(sid)
             self._touch(sid)
-            if rec.given and not rec.returned:
+            if c["given"][sid] and not c["returned"][sid]:
                 running.append(sid)
         return running
 
     def mark_kill_sent(self, sim_ids: Iterable[int]) -> None:
+        c = self._cols
         for sid in sim_ids:
-            rec = self.get(sid)
-            if not rec.cancel_requested:
+            self._check(sid)
+            if not c["cancel_requested"][sid]:
                 raise HistoryError(f"kill_sent without cancel_requested on sim_id {sid}")
-            rec.kill_sent = True
+            c["kill_sent"][sid] = True
             self._touch(sid)
 
     def _touch(self, sid: int) -> None:
@@ -344,13 +515,19 @@ class History:
 
     # -- queries ---------------------------------------------------------
 
+    def pending_ids(self) -> list[int]:
+        """Ids of the dispatchable records: not given, not cancelled;
+        highest priority first, ties by lowest sim_id."""
+        # Stable, so equal priorities stay in sim_id order. One scalar
+        # read per id: numpy's sorting machinery costs more than this on
+        # the short lists a manager cycle sorts.
+        ids = sorted(self._pending)
+        ids.sort(key=self._cols["priority"].item, reverse=True)
+        return ids
+
     def pending_sims(self) -> list[EnsembleRecord]:
-        """Dispatchable records: not given, not cancelled; highest priority
-        first, ties by lowest sim_id."""
-        # Sorted on each read: priorities may be edited in place.
-        pend = [self.records[sid] for sid in self._pending]
-        pend.sort(key=lambda r: (-r.priority, r.sim_id))
-        return pend
+        """The dispatchable records, in pending_ids order."""
+        return self._records(self.pending_ids())
 
     def returned_count(self) -> int:
         return self._returned
@@ -369,8 +546,8 @@ class History:
         path + '.meta.json', or with journal=True the changed rows only.
 
         Floats are repr'd (exact round-trip), NaN is spelled 'nan', absent
-        values are '-'. Only rows changed since the last dump are formatted
-        again.
+        values are '-'. Only rows changed since the last dump, or since
+        the line load read, are formatted again.
 
         With journal=True, once this history has written its full table to
         path, a dump appends just the rows changed since the last dump to
@@ -382,12 +559,12 @@ class History:
         """
         path = os.fspath(path)
         ids = sorted(self._changed)
-        ids += range(self._dumped, len(self.records))
-        rows = _format_rows([self.records[sid] for sid in ids])
+        ids += range(self._dumped, self._n)
+        rows = _format_rows(Records(self, ids))
         for sid, row in zip(ids, rows):
             self._rows[sid] = row
         self._changed = []
-        self._dumped = len(self.records)
+        self._dumped = self._n
         journal_path = path + JOURNAL_SUFFIX
         appending = journal and path == self._table
         # Until this dump is whole, the next one writes the full table.
@@ -416,7 +593,8 @@ class History:
 
         Journal lines replace the table's row of their sim_id or append the
         next one, in order, so the last line for a sim_id wins; a final
-        line without its newline is a torn write and is ignored.
+        line without its newline is a torn write and is ignored. That last
+        line is kept as the record's dump row until the record changes.
         """
         path = os.fspath(path)
         meta_path = path + ".meta.json"
@@ -447,41 +625,65 @@ class History:
             raise HistoryFormatError(
                 f"bad header {header!r}, expected {expected_header!r}", line=1
             )
-        records: list[EnsembleRecord] = []
-        for lineno, rec in cls._parse_rows(raw_lines[1:], 2, n_dims):
-            if rec.sim_id != len(records):
+        values: list[list] = []  # per record: sim_id, x cells, scalar cells
+        lines: list[str] = []
+        for lineno, line, cells in cls._parse_rows(raw_lines[1:], 2, n_dims):
+            if cells[0] != len(values):
                 raise HistoryFormatError(
-                    f"sim_id {rec.sim_id} out of order (expected {len(records)})",
+                    f"sim_id {cells[0]} out of order (expected {len(values)})",
                     line=lineno,
                 )
-            records.append(rec)
+            values.append(cells)
+            lines.append(line)
         # Sidecars written before the journal also counted the records.
-        if "num_records" in meta and len(records) != meta["num_records"]:
+        if "num_records" in meta and len(values) != meta["num_records"]:
             raise HistoryFormatError(
-                f"metadata says {meta['num_records']} records, file has {len(records)}"
+                f"metadata says {meta['num_records']} records, file has {len(values)}"
             )
 
         journal_path = path + JOURNAL_SUFFIX
         if os.path.exists(journal_path):
             with open(journal_path) as fh:
-                lines = fh.read().split("\n")[:-1]
-            for lineno, rec in cls._parse_rows(lines, 1, n_dims, journal_path):
-                if 0 <= rec.sim_id < len(records):
-                    records[rec.sim_id] = rec
-                elif rec.sim_id == len(records):
-                    records.append(rec)
+                journal = fh.read().split("\n")[:-1]
+            for lineno, line, cells in cls._parse_rows(journal, 1, n_dims, journal_path):
+                sid = cells[0]
+                if 0 <= sid < len(values):
+                    values[sid], lines[sid] = cells, line
+                elif sid == len(values):
+                    values.append(cells)
+                    lines.append(line)
                 else:
                     raise HistoryFormatError(
-                        f"sim_id {rec.sim_id} is not dense (expected at most "
-                        f"{len(records)})", line=lineno, path=journal_path)
-        for rec in records:
-            hist.append(rec)
+                        f"sim_id {sid} is not dense (expected at most "
+                        f"{len(values)})", line=lineno, path=journal_path)
+        hist._fill(values, lines)
         return hist
+
+    def _fill(self, values: list[list], lines: list[str]) -> None:
+        """Set this empty history's columns from parsed rows, each with
+        the line it was read from as its cached dump row."""
+        n = len(values)
+        self._reserve(n)
+        if n:
+            cols = list(zip(*values))
+            self._x[:n] = np.array(cols[1:1 + self.n_dims], dtype=float).T
+            for (name, c), col in zip(_SPELL.items(), cols[1 + self.n_dims:]):
+                if c.absent is not None:
+                    col = [c.absent if v is None else v for v in col]
+                self._cols[name][:n] = col
+        self._n = n
+        self._rows, self._dumped = lines, n
+        f, returned, given, cancelled = self.columns(
+            "f", "returned", "given", "cancel_requested")
+        self._returned = int(returned.sum())
+        finite = f[returned & ~np.isnan(f)]
+        self._best_f = float(finite.min()) if finite.size else math.nan
+        self._pending = set(np.flatnonzero(~given & ~cancelled).tolist())
 
     @classmethod
     def _parse_rows(cls, lines: list[str], first_lineno: int, n_dims: int,
                     path: str | None = None):
-        """(line number, record) for each non-blank line."""
+        """(line number, line, parsed cells) for each non-blank line."""
         ncols = 1 + n_dims + len(_SCALAR_COLS)
         for lineno, line in enumerate(lines, start=first_lineno):
             if not line.strip():
@@ -492,17 +694,16 @@ class History:
                     f"expected {ncols} columns, got {len(cells)}", line=lineno, path=path
                 )
             try:
-                rec = cls._parse_row(cells, n_dims)
+                parsed = cls._parse_row(cells, n_dims)
             except (ValueError, TypeError) as exc:
                 raise HistoryFormatError(str(exc), line=lineno, path=path) from exc
-            yield lineno, rec
+            yield lineno, line, parsed
 
     @staticmethod
-    def _parse_row(cells: list[str], n_dims: int) -> EnsembleRecord:
-        x = np.array([float(c) for c in cells[1 : 1 + n_dims]])
-        return EnsembleRecord(int(cells[0]), x, **{
-            name: parse(cell) for (name, (_, parse)), cell
-            in zip(_SPELL.items(), cells[1 + n_dims :])})
+    def _parse_row(cells: list[str], n_dims: int) -> list:
+        """sim_id, the x coordinates and the scalar fields of one line."""
+        return [int(cells[0]), *map(float, cells[1:1 + n_dims]), *(
+            c.parse(cell) for c, cell in zip(_SPELL.values(), cells[1 + n_dims:]))]
 
 
 def _write_replace(path: str, text: str, stale: str | None = None) -> None:

@@ -29,12 +29,12 @@ class Forward:
     record_ids: tuple[int, ...]
 
 
-def _resource_request(record):
-    if record.num_procs <= 0 and record.num_gpus <= 0:
+def _resource_request(num_procs, num_gpus):
+    if num_procs <= 0 and num_gpus <= 0:
         return None
     return ResourceRequest(
-        num_procs=record.num_procs if record.num_procs > 0 else None,
-        num_gpus=record.num_gpus if record.num_gpus > 0 else None,
+        num_procs=num_procs if num_procs > 0 else None,
+        num_gpus=num_gpus if num_gpus > 0 else None,
     )
 
 
@@ -49,22 +49,26 @@ def _assign_sims(view, workers, pool, actions, skip_worker=None,
     With a pool every record goes alone, since one Work holds one
     assignment. A record whose request cannot be met right now is
     deferred; one that can never be met is warned about once and
-    skipped."""
-    pending = deque(view.pending_sims())
+    skipped. The pending order is read only when a worker is idle, and
+    a record's request only when it is taken."""
+    idle = [state.worker_id
+            for state in sorted(workers.values(), key=lambda s: s.worker_id)
+            if state.worker_id != skip_worker and state.idle]
+    if not idle:
+        return
+    pending = deque(view.pending_ids())
     n_sim = sum(1 for wid in workers if wid != skip_worker)
     pack = 1 if pool is not None else math.ceil(
         len(pending) / (2 * max(1, n_sim)))
-    for state in sorted(workers.values(), key=lambda s: s.worker_id):
-        if state.worker_id == skip_worker or not state.idle:
-            continue
+    for worker_id in idle:
         ids: list[int] = []
         assignment = None
         while pending and len(ids) < pack:
-            record = pending.popleft()
-            request = _resource_request(record)
+            sim_id = pending.popleft()
+            request = _resource_request(*view.resources(sim_id))
             if request is not None and pool is None:
                 raise RuntimeError(
-                    f"record {record.sim_id} requests resources but no "
+                    f"record {sim_id} requests resources but no "
                     "pool is configured")
             if pool is not None:
                 # No explicit request still occupies one resource set: the
@@ -72,13 +76,13 @@ def _assign_sims(view, workers, pool, actions, skip_worker=None,
                 try:
                     assignment = pool.schedule(request)
                 except InsufficientResources as exc:
-                    if warned is not None and record.sim_id not in warned:
-                        log.warning("deferring sim %d: %s", record.sim_id, exc)
-                        warned.add(record.sim_id)
+                    if warned is not None and sim_id not in warned:
+                        log.warning("deferring sim %d: %s", sim_id, exc)
+                        warned.add(sim_id)
                     continue
-            ids.append(record.sim_id)
+            ids.append(sim_id)
         if ids:
-            actions.append(Work(target_worker=state.worker_id,
+            actions.append(Work(target_worker=worker_id,
                                 tag=Tag.EVAL_SIM, record_ids=tuple(ids),
                                 assignment=assignment))
 

@@ -29,6 +29,8 @@ from functools import partial
 from multiprocessing.reduction import ForkingPickler
 from typing import Callable
 
+import numpy as np
+
 from ..history import History
 from ..resources import NodeInventory, PlatformSpec, ResourcePool
 from .alloc import GEN_WORKER, DefaultAlloc, Forward
@@ -101,26 +103,36 @@ class HistoryView:
     def __len__(self) -> int:
         return len(self._h)
 
-    def pending_sims(self):
-        return self._h.pending_sims()
+    def pending_ids(self) -> list[int]:
+        return self._h.pending_ids()
+
+    def resources(self, sim_id: int) -> tuple[int, int]:
+        """The (num_procs, num_gpus) that record sim_id requests."""
+        return (self._h.field(sim_id, "num_procs"),
+                self._h.field(sim_id, "num_gpus"))
 
     def is_returned(self, sim_id: int) -> bool:
-        return self._h.get(sim_id).returned
+        return self._h.field(sim_id, "returned")
 
     def is_settled(self, sim_id: int) -> bool:
         """Returned, or cancelled before it was given or withdrawn from
         its pack, so it never returns."""
-        rec = self._h.get(sim_id)
-        return rec.returned or (rec.cancel_requested and not rec.given)
+        h = self._h
+        return h.field(sim_id, "returned") or (
+            h.field(sim_id, "cancel_requested") and not h.field(sim_id, "given"))
 
     def gen_record_ids(self, worker: int, start: int = 0) -> list[int]:
         """Ids of the records from sim_id `start` on that `worker` generated."""
-        return [r.sim_id for r in self._h.records[start:] if r.gen_worker == worker]
+        if start >= len(self._h):
+            return []
+        (gen,) = self._h.columns("gen_worker", ids=range(start, len(self._h)))
+        return [sid for sid, w in enumerate(gen.tolist(), start) if w == worker]
 
     def unreturned_gen_ids(self, worker: int) -> list[int]:
         """Ids of the unreturned records that `worker` generated."""
-        return [r.sim_id for r in self._h.records
-                if r.gen_worker == worker and not r.returned]
+        gen, returned = self._h.columns("gen_worker", "returned")
+        return [sid for sid, (w, ret) in enumerate(zip(gen.tolist(), returned.tolist()))
+                if w == worker and not ret]
 
 
 def check_exit(history: History, elapsed: float,
@@ -262,6 +274,15 @@ class _Inbox:
         self._conn.close()
 
 
+def _forked_worker(manager_ends, *args) -> None:
+    """A worker process's body: close the manager's pipe ends the fork
+    copied, so the manager's death reads as the end of the inbox and
+    breaks the result pipe, then run the worker."""
+    for conn in manager_ends:
+        conn.close()
+    worker_main(*args)
+
+
 class _Manager:
     def __init__(self, config: RunConfig, gen_fn, sim_fn, alloc, H0, trace):
         self.config = config
@@ -304,7 +325,7 @@ class _Manager:
     # -- setup -----------------------------------------------------------
 
     def _adopt(self, H0: History) -> None:
-        """Seed the history from a previous run.
+        """Seed the history from a previous run, copied column by column.
 
         Records given but never returned lost their worker when that run
         ended; they rejoin the pending queue and run again.
@@ -313,15 +334,12 @@ class _Manager:
             raise EnsembleError(
                 f"H0 has {H0.n_dims} dims, run configured for "
                 f"{self.history.n_dims}")
-        for pos, rec in enumerate(H0):
-            r = rec.copy()
-            if r.sim_id != pos:
-                raise EnsembleError(f"H0 sim_ids not dense at {r.sim_id}")
-            self.history.append(r)
-            if r.given and not r.returned:
-                self.history.withdraw((r.sim_id,))
-            if self.trace is not None:
-                self.trace.append(("adopt", r.sim_id, r.returned))
+        self.history.adopt(H0)
+        given, returned = self.history.columns("given", "returned")
+        self.history.withdraw(np.flatnonzero(given & ~returned).tolist())
+        if self.trace is not None:
+            self.trace.extend(("adopt", sid, ret)
+                              for sid, ret in enumerate(returned.tolist()))
 
     def _trace(self, kind: str, sim_ids, worker: int) -> None:
         """Record one protocol event per sim, when a trace was asked for."""
@@ -336,13 +354,18 @@ class _Manager:
                     else set())
         # Processes first: a forked child must never inherit a lock some
         # thread holds, nor an end of a thread's pipes.
+        manager_ends = []
         for wid in sorted(self.states, key=lambda w: w in threaded):
             inbox, inbox_writer = ctx.Pipe(duplex=False)
             reader, writer = ctx.Pipe(duplex=False)
-            runner = (threading.Thread if wid in threaded else ctx.Process)(
-                target=worker_main, daemon=True,
-                args=(wid, self.config, inbox, writer, self.gen_fn,
-                      self.sim_fn))
+            manager_ends += (inbox_writer, reader)
+            args = (wid, self.config, inbox, writer, self.gen_fn, self.sim_fn)
+            if wid in threaded:
+                runner = threading.Thread(target=worker_main, args=args,
+                                          daemon=True)
+            else:
+                runner = ctx.Process(target=_forked_worker, daemon=True,
+                                     args=(tuple(manager_ends), *args))
             runner.start()
             if wid not in threaded:
                 # With the child holding the only read end of its inbox
@@ -367,11 +390,11 @@ class _Manager:
             return False
         if any(s.status is WorkerStatus.BUSY_SIM for s in self.states.values()):
             return False
-        return not self.history.pending_sims()
+        return not self.history.pending_ids()
 
     def _batch(self, sim_ids) -> RecordBatch:
         """A snapshot of these records, as the message a worker reads."""
-        return RecordBatch.of([self.history.get(sid) for sid in sim_ids])
+        return RecordBatch.of_history(self.history, sim_ids)
 
     def _execute(self, action) -> None:
         if isinstance(action, Forward):
@@ -393,7 +416,7 @@ class _Manager:
             self._trace("dispatch", action.record_ids, action.target_worker)
         else:
             # Generators read the whole history so far.
-            batch = RecordBatch.of(self.history.records)
+            batch = self._batch(range(len(self.history)))
             state.status = (WorkerStatus.PERSISTENT_GEN if action.persistent
                             else WorkerStatus.BUSY_GEN)
         self.inboxes[action.target_worker].put(WorkMsg(action, batch))
@@ -452,7 +475,7 @@ class _Manager:
         # A record withdrawn from its pack by a cancel settles as if never
         # given; one a STOP left unstarted stays given and reruns on resume.
         self.history.withdraw([sid for sid in msg.unstarted
-                               if self.history.get(sid).cancel_requested])
+                               if self.history.field(sid, "cancel_requested")])
         assignment = self.assignments.pop(msg.worker_id, None)
         if assignment is not None and self.pool is not None:
             self.pool.release(assignment)
@@ -486,7 +509,7 @@ class _Manager:
         running = self.history.mark_cancel(sim_ids)
         by_worker: dict[int, list[int]] = {}
         for sid in running:
-            worker = self.history.get(sid).sim_worker
+            worker = self.history.field(sid, "sim_worker")
             by_worker.setdefault(worker, []).append(sid)
         for worker, ids in by_worker.items():
             self.inboxes[worker].put(KillMsg(tuple(ids)))

@@ -104,8 +104,9 @@ class RecordBatch:
     """Records as the columns a worker reads: sim ids, x as one float64
     block, and f, returned, num_procs and num_gpus.
 
-    Building one copies every value out of the records, so the batch is
-    a snapshot the manager may send while it goes on changing them.
+    Building one copies every value out of the records, or out of a
+    History's columns, so the batch is a snapshot the manager may send
+    while it goes on changing them.
     """
 
     sim_ids: list[int] = field(default_factory=list)
@@ -121,6 +122,14 @@ class RecordBatch:
         return cls([r.sim_id for r in records], X.tobytes(),
                    [r.f for r in records], [r.returned for r in records],
                    [r.num_procs for r in records], [r.num_gpus for r in records])
+
+    @classmethod
+    def of_history(cls, history, sim_ids) -> "RecordBatch":
+        """These records of a History, read from its columns."""
+        X, f, returned, num_procs, num_gpus = history.columns(
+            "x", "f", "returned", "num_procs", "num_gpus", ids=sim_ids)
+        return cls(list(sim_ids), X.tobytes(), f.tolist(), returned.tolist(),
+                   num_procs.tolist(), num_gpus.tolist())
 
     def __reduce__(self):
         # Pickled as its values alone: the field names would be about a

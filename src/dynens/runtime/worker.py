@@ -10,7 +10,8 @@ polling); a persistent generator additionally gets the send/recv surface
 it streams batches through. The loop, a sim's poll_signals and a
 generator's recv all read the inbox through WorkerContext._read, which
 notes the one stop the manager sends, and the worker ends once it has
-read it. The same loop body, with the same inbox type, runs as a
+read it. A manager that died without sending it leaves the inbox
+ended, which reads as the stop. The same loop body, with the same inbox type, runs as a
 separate process (local comms) or as a thread inside the manager
 (gen_on_manager).
 """
@@ -100,10 +101,14 @@ class WorkerContext:
     def _read(self, block: bool):
         """The next inbox message; None if block is False and the inbox
         is empty. A stop sets `stopping` and a KILL's ids join
-        `kills_seen` as they are read."""
+        `kills_seen` as they are read. The end of the inbox, which only
+        a manager that died unstopped leaves, reads as a STOP."""
         if not block and not self._inbox.poll():
             return None
-        msg = self._inbox.recv()
+        try:
+            msg = self._inbox.recv()
+        except EOFError:
+            msg = StopMsg()
         if isinstance(msg, StopMsg):
             self.stopping = True
         elif isinstance(msg, KillMsg):
@@ -236,7 +241,8 @@ def _run_gen(ctx: WorkerContext, msg: WorkMsg, outbox, gen_fn) -> None:
 
 def worker_main(worker_id: int, config: RunConfig, inbox, outbox,
                 gen_fn=None, sim_fn=None) -> None:
-    """Body of one worker; runs until it has read its stop message.
+    """Body of one worker; runs until it has read its stop message, or
+    finds its manager gone: the end of its inbox or of its result pipe.
 
     inbox is the read end of the one-way pipe that carries all the
     manager sends: work, results forwarded to a persistent generator,
@@ -258,6 +264,8 @@ def worker_main(worker_id: int, config: RunConfig, inbox, outbox,
                 _run_sim(ctx, msg, outbox, sim_fn)
             else:
                 _run_gen(ctx, msg, outbox, gen_fn)
+    except BrokenPipeError:  # the manager is gone; no one reads a report
+        log.debug("worker %d: result pipe closed", worker_id)
     finally:
         # So a worker thread's end reads as EOF too, and the manager's
         # writes to its inbox fail as they do for a process's.

@@ -10,6 +10,7 @@ import multiprocessing as mp
 import os
 import pickle
 import queue
+import signal
 import threading
 import time
 
@@ -167,6 +168,33 @@ def dying_sim(records, params, ctx):
     if any(r.sim_id == 5 for r in records):
         os._exit(1)
     return norm_sim(records, params, ctx)
+
+
+def note_pid(params):
+    """Leave a file named after this process's pid in params["pid_dir"]."""
+    open(os.path.join(params["pid_dir"], str(os.getpid())), "w").close()
+
+
+def pid_noting_gen(history_in, params, ctx):
+    note_pid(params)
+    return random_batch_gen(history_in, params, ctx)
+
+
+def pid_noting_sim(records, params, ctx):
+    note_pid(params)
+    time.sleep(0.01)
+    return norm_sim(records, params, ctx)
+
+
+def process_alive(pid):
+    """Whether pid runs: it exists and is not a zombie waiting to be
+    reaped by a parent other than this process."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state not in ("Z", "X")
 
 
 def unsendable_gen(history_in, params, ctx):
@@ -384,9 +412,10 @@ class TestDefaultAlloc:
         assert not work.persistent
 
     def test_pending_sims_win_over_generation(self):
-        h = make_history(points=3)
-        for i, pr in enumerate([1.0, 3.0, 2.0]):
-            h.get(i).priority = pr
+        h = make_history()
+        xs = np.linspace(0.0, 1.0, 3 * 2).reshape(3, 2)
+        h.submit_points([GenPoint(x, priority=pr)
+                         for x, pr in zip(xs, [1.0, 3.0, 2.0])], gen_worker=1)
         actions = DefaultAlloc()(HistoryView(h), idle_workers(2), None)
         sims = [a for a in actions if a.tag is Tag.EVAL_SIM]
         # Two idle workers take the two highest-priority records.
@@ -421,8 +450,10 @@ class TestDefaultAlloc:
         assert actions[0].record_ids == (1,)
 
     def test_oversized_request_deferred_with_one_warning(self, caplog):
-        h = make_history(points=2)
-        h.get(0).num_procs = 99
+        h = make_history()
+        xs = np.linspace(0.0, 1.0, 2 * 2).reshape(2, 2)
+        h.submit_points([GenPoint(xs[0], num_procs=99), GenPoint(xs[1])],
+                        gen_worker=1)
         pool = ResourcePool(NodeInventory([Node("n0", 4)]), 2)
         alloc = DefaultAlloc()
         with caplog.at_level(logging.WARNING, logger="dynens.runtime.alloc"):
@@ -439,17 +470,19 @@ class TestDefaultAlloc:
         assert work.assignment is None
 
     def test_requesting_record_gets_assignment(self):
-        h = make_history(points=1)
-        h.get(0).num_procs = 2
+        h = make_history()
+        h.submit_points([GenPoint(np.linspace(0.0, 1.0, 2), num_procs=2)],
+                        gen_worker=1)
         pool = ResourcePool(NodeInventory([Node("n0", 4)]), 2)
         (work,) = DefaultAlloc()(HistoryView(h), idle_workers(1), pool)
         assert work.assignment is not None
         assert work.assignment.total_procs == 2
 
     def test_packs_are_factored_in_priority_order(self):
-        h = make_history(points=9)
-        for sid in range(9):
-            h.get(sid).priority = float(sid % 3)
+        h = make_history()
+        xs = np.linspace(0.0, 1.0, 9 * 2).reshape(9, 2)
+        h.submit_points([GenPoint(x, priority=float(sid % 3))
+                         for sid, x in enumerate(xs)], gen_worker=1)
         order = [r.sim_id for r in h.pending_sims()]
         actions = DefaultAlloc()(HistoryView(h), idle_workers(2), None)
         # ceil(9 / (2 * 2 workers)) = 3 consecutive records each.
@@ -1673,6 +1706,40 @@ class TestRunEnsemble:
         assert flag == "sim_max"
         rec = hist.get(5)
         assert rec.returned and rec.f == pytest.approx(np.linalg.norm(rec.x))
+
+    def test_workers_end_when_the_manager_is_killed(self, tmp_path):
+        """A manager that dies without its finally (SIGKILL) takes its
+        workers with it: each sees the end of its inbox and exits."""
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        cfg = run_cfg(tmp_path, nworkers=3,
+                      gen_params=dict(GEN_BOX, pid_dir=str(pid_dir)),
+                      sim_params={"pid_dir": str(pid_dir)},
+                      exit_criteria=ExitCriteria(wallclock_max=60))
+        manager = mp.get_context("fork").Process(
+            target=run_ensemble, args=(cfg, pid_noting_gen, pid_noting_sim),
+            kwargs={"alloc": PersistentAlloc()})
+        manager.start()
+        workers, alive = set(), []
+        try:
+            deadline = time.monotonic() + 20
+            while len(workers) < 3 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = {int(p.name) for p in pid_dir.iterdir()}
+            assert len(workers) == 3
+            os.kill(manager.pid, signal.SIGKILL)
+            manager.join(timeout=10)
+            deadline = time.monotonic() + 5
+            while ((alive := [w for w in workers if process_alive(w)])
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert alive == []
+        finally:
+            for pid in alive:
+                os.kill(pid, signal.SIGKILL)
+            if manager.is_alive():
+                manager.kill()
+                manager.join(timeout=10)
 
     @pytest.mark.parametrize("comms", ["local", "gen_on_manager"])
     def test_resumed_generator_receives_H0(self, tmp_path, comms):
