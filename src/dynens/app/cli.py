@@ -14,6 +14,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from ..history import History, HistoryError
 from ..runtime import EnsembleError, run_ensemble
 from ..runtime.manager import HISTORY_FILENAME
@@ -48,31 +50,25 @@ def _load(args):
     )
 
 
-def _best_returned(history):
-    best = None
-    for rec in history:
-        if rec.returned and not math.isnan(rec.f):
-            if best is None or rec.f < best.f:
-                best = rec
-    return best
-
-
 def _summarize(history):
-    returned = sum(1 for r in history if r.returned)
-    killed = sum(1 for r in history if r.kill_sent)
-    failed = sum(1 for r in history
-                 if r.returned and math.isnan(r.f) and not r.kill_sent)
+    returned, kill_sent, f = history.columns("returned", "kill_sent", "f")
     lines = [
-        f"evaluations: {len(history)} generated, {returned} returned",
+        f"evaluations: {len(history)} generated, "
+        f"{history.returned_count()} returned",
     ]
+    killed = int(kill_sent.sum())
+    failed = int((returned & np.isnan(f) & ~kill_sent).sum())
     if killed:
         lines.append(f"killed: {killed}")
     if failed:
         lines.append(f"failed: {failed}")
-    best = _best_returned(history)
-    if best is not None:
-        coords = ", ".join(repr(v) for v in best.x.tolist())
-        lines.append(f"best: f={best.f!r} at x=[{coords}] (sim {best.sim_id})")
+    best = history.best_f()
+    if not math.isnan(best):
+        # The first returned record that holds the best f.
+        sid = int(np.flatnonzero(returned & (f == best))[0])
+        coords = ", ".join(repr(v) for v in history.field(sid, "x").tolist())
+        lines.append(f"best: f={history.field(sid, 'f')!r} at x=[{coords}] "
+                     f"(sim {sid})")
     return lines
 
 
@@ -97,8 +93,9 @@ def _cmd_run(args):
     print(f"wall time: {elapsed:.2f}s")
     print(f"history: {os.path.join(run.ensemble_dir, HISTORY_FILENAME)}")
     # Dry-run stub sims return NaN by design.
-    if not args.dry_run and history.returned_count() and not any(
-            r.returned and math.isfinite(r.f) for r in history):
+    returned, f = history.columns("returned", "f")
+    if not args.dry_run and history.returned_count() and not np.isfinite(
+            f[returned]).any():
         print("error: no returned record has a finite f", file=sys.stderr)
         return 1
     return 0
@@ -148,10 +145,11 @@ def _cmd_replay_metrics(args):
         return 2
     for line in _summarize(history):
         print(line)
-    times = [r.returned_time - r.given_time for r in history
-             if r.returned_time is not None and r.given_time is not None]
+    given_time, returned_time = history.columns("given_time", "returned_time")
+    # An absent time is NaN, so only records with both times are kept.
+    times = returned_time - given_time
+    times = np.sort(times[~np.isnan(times)]).tolist()
     if times:
-        times.sort()
         print(f"sim time: median {times[len(times) // 2]:.3f}s, "
               f"max {times[-1]:.3f}s")
     return 0

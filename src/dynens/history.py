@@ -12,21 +12,23 @@ over it. The sidecar holds only per-run constants, so it never disagrees with
 the table, and a crash at any point leaves files that load as an earlier dump.
 
 A History keeps its records as numpy columns that grow geometrically: x is
-one (capacity x n_dims) float64 block and every other field one array, with
-NaN for an absent time and -1 for an absent sim_worker. get, iteration and
-the records sequence hand out EnsembleRecord copies built from the columns,
-so changing one leaves the history as it was. Records change only through
-History's write methods and append, which copies a record's values in; they
-keep the running indexes (returned count, best f, pending ids) and the
-cached dump rows current. Bulk readers (adoption, the batches sent to
-workers, the allocator's scans, dump) copy whole columns instead of records.
+one (capacity x n_dims) float64 block and every other field one array. One
+codec, _SPELL, spells each column's stored values as cells and parses them
+back, so dump and load touch stored values only; a field with no value
+stores its column's absent value (NaN for a time, -1 for sim_worker).
+Records exist only at the API boundary: append encodes one, refusing a
+stored absent value, which would read back as None; get, field, iteration,
+records and pending_sims decode copies, so changing one leaves the history
+as it was. Records change only through History's write methods and append,
+which keep the running indexes (returned count, best f, pending ids) and
+the cached dump rows current. Bulk readers (adoption, the batches sent to
+workers, the allocator's scans, dump) copy whole columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import time
 from collections.abc import Sequence
@@ -107,20 +109,8 @@ def _ints(col) -> list[str]:
     return list(map(str, col))
 
 
-def _opt_floats(col) -> list[str]:
-    return ["-" if v is None else repr(v) for v in col]
-
-
-def _opt_ints(col) -> list[str]:
-    return ["-" if v is None else str(v) for v in col]
-
-
 def _flags(col) -> list[str]:
     return ["1" if v else "0" for v in col]
-
-
-def _opt(parse):
-    return lambda cell: None if cell == "-" else parse(cell)
 
 
 def _flag(cell: str) -> bool:
@@ -130,33 +120,52 @@ def _flag(cell: str) -> bool:
 
 
 class _Column(NamedTuple):
-    spell: Callable   # a column of values -> its cells
-    parse: Callable   # one cell -> its value
-    dtype: type       # of the History column
-    absent: object    # what the History column holds for None, if allowed
+    spell: Callable        # a column's stored values, as a list -> its cells
+    parse: Callable        # one cell -> its stored value
+    dtype: type            # of the History column
+    absent: object = None  # the stored value a record reads as None, if any
 
 
-# The history format: the scalar columns after the x block, in on-disk and
-# EnsembleRecord field order, each with how a whole column is spelled, how
-# one cell is parsed and how History stores it: floats by repr (exact
-# round-trip, NaN as 'nan'), ints by str, flags as 1/0 and absent values
-# as '-'.
+def _optional(spell_one: Callable, parse_one: Callable, dtype: type,
+              absent) -> _Column:
+    """A column whose field may hold None: stored as absent (NaN or an int,
+    so `v != v or v == absent` finds it), spelled '-'. A cell that parses
+    to absent itself is refused, since it would load as no value."""
+    def spell(col):
+        return ["-" if v != v or v == absent else spell_one(v) for v in col]
+
+    def parse(cell):
+        if cell == "-":
+            return absent
+        value = parse_one(cell)
+        if value != value or value == absent:
+            raise ValueError(f"cell {cell!r} would load as no value, "
+                             "which is spelled '-'")
+        return value
+
+    return _Column(spell, parse, dtype, absent)
+
+
+# The history's one codec: the scalar columns after the x block, in on-disk
+# and EnsembleRecord field order, each with how a list of its stored values
+# is spelled as cells, how one cell is parsed back to a stored value and the
+# dtype History stores it in: floats by repr (exact round-trip, NaN as
+# 'nan'), ints by str, flags as 1/0 and a stored absent value as '-'.
 _SPELL = {
-    "f": _Column(_floats, float, np.float64, None),
-    "priority": _Column(_floats, float, np.float64, None),
-    "num_procs": _Column(_ints, int, np.int64, None),
-    "num_gpus": _Column(_ints, int, np.int64, None),
-    "gen_worker": _Column(_ints, int, np.int64, None),
-    "sim_worker": _Column(_opt_ints, _opt(int), np.int64, -1),
-    "given": _Column(_flags, _flag, np.bool_, None),
-    "returned": _Column(_flags, _flag, np.bool_, None),
-    "cancel_requested": _Column(_flags, _flag, np.bool_, None),
-    "kill_sent": _Column(_flags, _flag, np.bool_, None),
-    "given_time": _Column(_opt_floats, _opt(float), np.float64, math.nan),
-    "returned_time": _Column(_opt_floats, _opt(float), np.float64, math.nan),
+    "f": _Column(_floats, float, np.float64),
+    "priority": _Column(_floats, float, np.float64),
+    "num_procs": _Column(_ints, int, np.int64),
+    "num_gpus": _Column(_ints, int, np.int64),
+    "gen_worker": _Column(_ints, int, np.int64),
+    "sim_worker": _optional(str, int, np.int64, -1),
+    "given": _Column(_flags, _flag, np.bool_),
+    "returned": _Column(_flags, _flag, np.bool_),
+    "cancel_requested": _Column(_flags, _flag, np.bool_),
+    "kill_sent": _Column(_flags, _flag, np.bool_),
+    "given_time": _optional(repr, float, np.float64, math.nan),
+    "returned_time": _optional(repr, float, np.float64, math.nan),
 }
 _SCALAR_COLS = tuple(_SPELL)
-_scalars = operator.attrgetter(*_SCALAR_COLS)
 # A new record's stored values: EnsembleRecord's defaults.
 _DEFAULTS = {fld.name: _SPELL[fld.name].absent if fld.default is None else fld.default
              for fld in fields(EnsembleRecord) if fld.name in _SPELL}
@@ -166,33 +175,26 @@ _FORMAT_CHUNK = 512
 
 
 def _decode(col: _Column, values: list) -> list:
-    """Python values read from a History column, None where absent."""
+    """A column's stored values, as a list, with None where absent."""
     if col.absent is None:
         return values
     return [None if v != v or v == col.absent else v for v in values]
 
 
-def _record_cells(records: Sequence[EnsembleRecord]):
-    """(sim ids, x block, scalar columns) of records held as objects."""
-    x = np.array([r.x for r in records], dtype=float)
-    return [r.sim_id for r in records], x, zip(*map(_scalars, records))
+def _format_rows(history: "History", ids: Sequence[int]) -> list[str]:
+    """Records ids of history as their dump lines, without the newline.
 
-
-def _format_rows(records: Sequence[EnsembleRecord]) -> list[str]:
-    """Each record as its dump line, without the newline.
-
-    Built a column at a time over chunks of records; x cells are the
-    repr of each coordinate as a Python float. A History's Records are
-    read from its columns, without building a record.
+    Built a column at a time over chunks of ids, straight from the stored
+    values: x cells are the repr of each coordinate as a Python float, the
+    other cells as _SPELL spells them.
     """
     rows: list[str] = []
-    for start in range(0, len(records), _FORMAT_CHUNK):
-        chunk = records[start:start + _FORMAT_CHUNK]
-        sim_ids, x, scalars = (chunk._cells() if isinstance(chunk, Records)
-                               else _record_cells(chunk))
-        cols = [list(map(str, sim_ids))]
+    for start in range(0, len(ids), _FORMAT_CHUNK):
+        chunk = ids[start:start + _FORMAT_CHUNK]
+        x, *scalars = history.columns("x", *_SPELL, ids=chunk)
+        cols = [list(map(str, chunk))]
         cols += map(_floats, x.T.tolist())
-        cols += (c.spell(col) for c, col in zip(_SPELL.values(), scalars))
+        cols += (c.spell(col.tolist()) for c, col in zip(_SPELL.values(), scalars))
         rows += map("\t".join, zip(*cols))
     return rows
 
@@ -239,16 +241,6 @@ class Records(Sequence):
     def __iter__(self):
         for start in range(0, len(self._ids), _FORMAT_CHUNK):
             yield from self._history._records(self._ids[start:start + _FORMAT_CHUNK])
-
-    def __reduce__(self):
-        # Pickled as the list of records it reads now, not as its history.
-        return list, (list(self),)
-
-    def _cells(self):
-        """(sim ids, x block, scalar columns) read from the columns."""
-        x, *scalars = self._history.columns("x", *_SPELL, ids=self._ids)
-        return self._ids, x, [_decode(c, col.tolist())
-                              for c, col in zip(_SPELL.values(), scalars)]
 
 
 class History:
@@ -308,8 +300,8 @@ class History:
     def columns(self, *names: str, ids: Sequence[int] | None = None) -> list[np.ndarray]:
         """Copies of the named columns over ids (which must name records
         of this history), or over every record: "x" is the
-        (len(ids), n_dims) block, any other name the stored field, NaN
-        for an absent time and -1 for an absent sim_worker."""
+        (len(ids), n_dims) block, any other name the stored field, with
+        its column's absent value (_SPELL) where a record holds None."""
         sel = self._selection(ids)
         out = []
         for name in names:
@@ -337,8 +329,9 @@ class History:
             raise HistoryError(f"unknown sim_id {sim_id} (history has {self._n} records)")
 
     def _records(self, ids: Sequence[int]) -> list[EnsembleRecord]:
-        sim_ids, x, scalars = Records(self, ids)._cells()
-        return [EnsembleRecord(*values) for values in zip(sim_ids, x, *scalars)]
+        x, *scalars = self.columns("x", *_SPELL, ids=ids)
+        return [EnsembleRecord(*values) for values in zip(ids, x, *(
+            _decode(c, col.tolist()) for c, col in zip(_SPELL.values(), scalars)))]
 
     # -- writes ----------------------------------------------------------
 
@@ -385,19 +378,33 @@ class History:
     def append(self, rec: EnsembleRecord) -> None:
         """Append a copy of a record's values as the next sim_id; rec
         itself is not kept. Floats are stored as float64, so numpy float
-        cells dump as Python floats do."""
+        cells dump as Python floats do. A value the columns cannot keep is
+        refused before any is written: None in a field with no absent
+        value, or a stored absent value (a NaN time, sim_worker -1), which
+        would read back as None."""
         if rec.sim_id != self._n:
             raise HistoryError(
                 f"appended sim_id {rec.sim_id} != next id {self._n}")
         if rec.x.shape != (self.n_dims,):
             raise HistoryError(
                 f"appended x has shape {rec.x.shape}, expected ({self.n_dims},)")
+        stored = []
+        for name, c in _SPELL.items():
+            value = getattr(rec, name)
+            if value is None:
+                if c.absent is None:
+                    raise HistoryError(f"appended {name} is None, which its column "
+                                       "cannot store")
+                value = c.absent
+            elif c.absent is not None and (value != value or value == c.absent):
+                raise HistoryError(f"appended {name}={value!r} would read back "
+                                   "as None; pass None for no value")
+            stored.append(value)
         self._reserve(1)
         sid = self._n
         self._x[sid] = rec.x
-        for name, c in _SPELL.items():
-            value = getattr(rec, name)
-            self._cols[name][sid] = c.absent if value is None else value
+        for name, value in zip(_SPELL, stored):
+            self._cols[name][sid] = value
         self._n += 1
         self._rows.append(None)
         if rec.returned:
@@ -455,8 +462,8 @@ class History:
             if c["returned"][sid]:
                 raise HistoryError(f"sim_id {sid} withdrawn after it returned")
             c["given"][sid] = False
-            c["sim_worker"][sid] = -1
-            c["given_time"][sid] = math.nan
+            c["sim_worker"][sid] = _SPELL["sim_worker"].absent
+            c["given_time"][sid] = _SPELL["given_time"].absent
             if not c["cancel_requested"][sid]:
                 self._pending.add(sid)
             self._touch(sid)
@@ -545,9 +552,8 @@ class History:
         """Save the history at path: the full table plus metadata in
         path + '.meta.json', or with journal=True the changed rows only.
 
-        Floats are repr'd (exact round-trip), NaN is spelled 'nan', absent
-        values are '-'. Only rows changed since the last dump, or since
-        the line load read, are formatted again.
+        Cells are spelled as _SPELL says. Only rows changed since the
+        last dump, or since the line load read, are formatted again.
 
         With journal=True, once this history has written its full table to
         path, a dump appends just the rows changed since the last dump to
@@ -560,7 +566,7 @@ class History:
         path = os.fspath(path)
         ids = sorted(self._changed)
         ids += range(self._dumped, self._n)
-        rows = _format_rows(Records(self, ids))
+        rows = _format_rows(self, ids)
         for sid, row in zip(ids, rows):
             self._rows[sid] = row
         self._changed = []
@@ -660,16 +666,14 @@ class History:
         return hist
 
     def _fill(self, values: list[list], lines: list[str]) -> None:
-        """Set this empty history's columns from parsed rows, each with
-        the line it was read from as its cached dump row."""
+        """Set this empty history's columns from parsed rows of stored
+        values, each with the line it was read from as its dump row."""
         n = len(values)
         self._reserve(n)
         if n:
             cols = list(zip(*values))
             self._x[:n] = np.array(cols[1:1 + self.n_dims], dtype=float).T
-            for (name, c), col in zip(_SPELL.items(), cols[1 + self.n_dims:]):
-                if c.absent is not None:
-                    col = [c.absent if v is None else v for v in col]
+            for name, col in zip(_SPELL, cols[1 + self.n_dims:]):
                 self._cols[name][:n] = col
         self._n = n
         self._rows, self._dumped = lines, n
@@ -701,7 +705,7 @@ class History:
 
     @staticmethod
     def _parse_row(cells: list[str], n_dims: int) -> list:
-        """sim_id, the x coordinates and the scalar fields of one line."""
+        """sim_id, the x coordinates and the stored scalars of one line."""
         return [int(cells[0]), *map(float, cells[1:1 + n_dims]), *(
             c.parse(cell) for c, cell in zip(_SPELL.values(), cells[1 + n_dims:]))]
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Sequence
 
 import numpy as np
 
@@ -104,9 +103,9 @@ class RecordBatch:
     """Records as the columns a worker reads: sim ids, x as one float64
     block, and f, returned, num_procs and num_gpus.
 
-    Building one copies every value out of the records, or out of a
-    History's columns, so the batch is a snapshot the manager may send
-    while it goes on changing them.
+    Building one copies every value out of a History's columns, so the
+    batch is a snapshot the manager may send while it goes on changing
+    them.
     """
 
     sim_ids: list[int] = field(default_factory=list)
@@ -115,13 +114,6 @@ class RecordBatch:
     returned: list[bool] = field(default_factory=list)
     num_procs: list[int] = field(default_factory=list)
     num_gpus: list[int] = field(default_factory=list)
-
-    @classmethod
-    def of(cls, records: Sequence[EnsembleRecord]) -> "RecordBatch":
-        X = np.array([r.x for r in records], dtype=np.float64)
-        return cls([r.sim_id for r in records], X.tobytes(),
-                   [r.f for r in records], [r.returned for r in records],
-                   [r.num_procs for r in records], [r.num_gpus for r in records])
 
     @classmethod
     def of_history(cls, history, sim_ids) -> "RecordBatch":

@@ -20,7 +20,7 @@ from dynens.app.functions import (
     sim_synthetic,
 )
 from dynens.executor import Executor
-from dynens.history import EnsembleRecord, History
+from dynens.history import EnsembleRecord, GenPoint, History
 from dynens.resources import PlatformSpec
 from dynens.runtime import DefaultAlloc, PersistentAlloc, Tag, run_ensemble
 
@@ -587,6 +587,31 @@ class TestCli:
         assert os.path.exists(dump)
         assert run_cli("replay-metrics", dump) == 0
         assert "500 returned" in capsys.readouterr().out
+
+    def test_replay_metrics_report(self, tmp_path, capsys):
+        """The whole report for a hand-built history: a kill, a NaN
+        failure, a tie of -0.0 and 0.0 on best f that the first record
+        wins, and records that never returned."""
+        h = History(2, start_time=0.0)
+        ids = h.submit_points([GenPoint([0.5 * k, -0.25 * k]) for k in range(7)],
+                              gen_worker=1)
+        h.mark_given(ids[:3], sim_worker=2, given_time=1.0)
+        h.mark_given(ids[3:6], sim_worker=3, given_time=1.25)
+        h.update_with_results([(0, 2.5)], returned_time=1.125)
+        h.update_with_results([(1, -0.0), (2, math.nan)], returned_time=1.5)
+        assert h.mark_cancel([4]) == [4]
+        h.mark_kill_sent([4])
+        h.update_with_results([(4, math.nan)], returned_time=2.0)
+        h.update_with_results([(3, 0.0)], returned_time=4.0)
+        dump = str(tmp_path / "h.tsv")
+        h.dump(dump)
+        assert run_cli("replay-metrics", dump) == 0
+        assert capsys.readouterr().out == (
+            "evaluations: 7 generated, 5 returned\n"
+            "killed: 1\n"
+            "failed: 1\n"
+            "best: f=-0.0 at x=[0.5, -0.25] (sim 1)\n"
+            "sim time: median 0.500s, max 2.750s\n")
 
     def test_dry_run_prints_launch_lines(self, tmp_path, capfd):
         nodes = tmp_path / "nodes.txt"

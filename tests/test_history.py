@@ -542,16 +542,32 @@ class TestJournal:
     @settings(max_examples=150, deadline=None)
     def test_column_formatter_matches_reference(self, cells):
         from unittest import mock
-        recs = []
-        for sid, c in enumerate(cells):
+        h = History(3)
+        for c in cells:
             c = dict(c)
             x = np.array(c.pop("x"), dtype=object if c.pop("x_object") else float)
-            recs.append(EnsembleRecord(sim_id=sid, x=x, **c))
-        want = [reference_format_row(r) for r in recs]
-        assert dynens.history._format_rows(recs) == want
+            rec = EnsembleRecord(sim_id=len(h), x=x, **c)
+            times = (rec.given_time, rec.returned_time)
+            if any(t is not None and t != t for t in times):
+                # A NaN time would read back as no time.
+                with pytest.raises(HistoryError, match="would read back as None"):
+                    h.append(rec)
+                continue
+            h.append(rec)
+            # Read back as drawn, to the float's repr (-0.0 and NaN too).
+            got = h.get(rec.sim_id)
+            assert list(map(repr, got.x.tolist())) == [repr(float(v)) for v in x]
+            for name in REFERENCE_COLS:
+                a, b = getattr(got, name), getattr(rec, name)
+                if isinstance(b, float):
+                    a, b = repr(a), repr(float(b))
+                assert a == b, (name, got, rec)
+        ids = range(len(h))
+        want = [reference_format_row(h.get(sid)) for sid in ids]
+        assert dynens.history._format_rows(h, ids) == want
         # Chunk boundaries do not show in the lines.
         with mock.patch.object(dynens.history, "_FORMAT_CHUNK", 5):
-            assert dynens.history._format_rows(recs) == want
+            assert dynens.history._format_rows(h, ids) == want
 
     def test_seeded_operations_end_in_reference_bytes(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -684,7 +700,9 @@ class TestJournal:
         (lambda cells: cells.pop(), "expected 15 columns, got 14"),
         (lambda cells: cells.__setitem__(0, "9"), "sim_id 9 is not dense"),
         (lambda cells: cells.__setitem__(0, "-1"), "sim_id -1 is not dense"),
-    ], ids=["float", "flag", "columns", "gap", "negative"])
+        (lambda cells: cells.__setitem__(13, "nan"), "cell 'nan' would load as no value"),
+        (lambda cells: cells.__setitem__(8, "-1"), "cell '-1' would load as no value"),
+    ], ids=["float", "flag", "columns", "gap", "negative", "nan-time", "worker-minus-one"])
     def test_malformed_journal_line_names_journal_and_line(self, tmp_path, bad, match):
         h = make_history(2)
         p = str(tmp_path / "h.tsv")
@@ -734,3 +752,80 @@ def test_records_equal_ignores_times_by_default():
     b = EnsembleRecord(sim_id=0, x=np.array([1.0]), given_time=9.0)
     assert records_equal(a, b)
     assert not records_equal(a, b, include_times=True)
+
+
+class TestAbsentValues:
+    """A field that may hold no value stores its column's absent value
+    (NaN for a time, -1 for sim_worker) and reads it back as None, so that
+    value itself is refused on the way in, by append and by load; so is
+    None in a field that has no absent value."""
+
+    @pytest.mark.parametrize("values", [
+        dict(given=True, sim_worker=-1, given_time=math.nan),
+        dict(sim_worker=np.int64(-1)),
+        dict(given_time=math.nan),
+        dict(returned=True, returned_time=np.float64("nan")),
+        dict(f=2.0, priority=5.0, num_procs=None),
+    ], ids=["given", "worker", "given-time", "returned-time", "none-procs"])
+    def test_append_refuses_what_the_columns_cannot_keep(self, values):
+        h = make_history(2)
+        with pytest.raises(HistoryError, match="would read back as None|cannot store"):
+            h.append(EnsembleRecord(sim_id=2, x=np.zeros(2), **values))
+        assert len(h) == 2 and h.returned_count() == 0
+        # Nothing of the refused record stays behind for the next one.
+        h.submit_points([GenPoint(x=[0.0, 0.0])], gen_worker=1)
+        assert records_equal(h.get(2), EnsembleRecord(sim_id=2, x=np.zeros(2), gen_worker=1),
+                             include_times=True)
+        assert h.get(2).sim_worker is None and h.get(2).given_time is None
+
+    def test_values_beside_the_absent_one_round_trip(self, tmp_path):
+        rec = EnsembleRecord(sim_id=0, x=np.zeros(2), given=True, returned=True,
+                             sim_worker=0, given_time=math.inf, returned_time=-0.0)
+        h = History(2, start_time=1.0)
+        h.append(rec)
+        assert records_equal(h.get(0), rec, include_times=True)
+        h.dump(tmp_path / "h.tsv")
+        assert records_equal(History.load(tmp_path / "h.tsv").get(0), rec,
+                             include_times=True)
+
+    @pytest.mark.parametrize("name, cell", [("given_time", "nan"),
+                                            ("returned_time", "nan"),
+                                            ("sim_worker", "-1")])
+    def test_load_refuses_the_absent_value_with_its_line(self, tmp_path, name, cell):
+        h = make_history(3)
+        h.mark_given([1], sim_worker=2, given_time=0.5)
+        h.update_with_results([(1, 1.0)], returned_time=1.0)
+        p = tmp_path / "h.tsv"
+        h.dump(p)
+        lines = p.read_text().splitlines()
+        cells = lines[2].split("\t")
+        cells[lines[0].split("\t").index(name)] = cell
+        lines[2] = "\t".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(HistoryFormatError,
+                           match=f"^line 3: cell '{cell}' would load as no value"):
+            History.load(p)
+
+
+def stored_values(c) -> st.SearchStrategy:
+    """Values a History column of c's dtype stores, c's absent one among
+    them."""
+    if c.dtype is np.bool_:
+        return st.booleans()
+    if c.dtype is np.int64:
+        return st.one_of(st.sampled_from([0, -1, 2**63 - 1, -2**63]),
+                         st.integers(-2**63, 2**63 - 1))
+    return any_float
+
+
+@pytest.mark.parametrize("name", list(dynens.history._SPELL))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_codec_round_trips_stored_values(name, data):
+    """parse(spell([v])[0]) is v for every value a column stores, its
+    absent value too, and spell reads a column's .tolist() the same."""
+    c = dynens.history._SPELL[name]
+    values = data.draw(st.lists(stored_values(c), max_size=8))
+    cells = [c.spell([v])[0] for v in values]
+    assert [repr(c.parse(cell)) for cell in cells] == list(map(repr, values))
+    assert c.spell(np.array(values, dtype=c.dtype).tolist()) == cells

@@ -176,9 +176,9 @@ def counting_format(monkeypatch) -> list[int]:
     counts = []
     real = dynens.history._format_rows
 
-    def counting(records):
-        counts.append(len(records))
-        return real(records)
+    def counting(history, ids):
+        counts.append(len(ids))
+        return real(history, ids)
 
     monkeypatch.setattr(dynens.history, "_format_rows", counting)
     return counts

@@ -792,7 +792,7 @@ class TestWorkerLoop:
     def test_sim_work_returns_results(self, tmp_path):
         w = ThreadedWorker(sim_fn=norm_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=2)
-        w.inbox.put(WorkMsg(sim_work((0, 1)), RecordBatch.of(h.records)))
+        w.inbox.put(WorkMsg(sim_work((0, 1)), RecordBatch.of_history(h, range(len(h)))))
         done = w.results.get(timeout=5)
         assert isinstance(done, SimDone) and done.worker_id == 2
         assert [sid for sid, _ in done.results] == [0, 1]
@@ -807,7 +807,7 @@ class TestWorkerLoop:
     def test_sim_exception_reports_nan_and_traceback(self, tmp_path):
         w = ThreadedWorker(sim_fn=failing_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=1)
-        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of([h.get(0)])))
+        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of_history(h, [0])))
         done = w.results.get(timeout=5)
         assert math.isnan(done.results[0][1])
         assert "sim exploded" in done.error
@@ -816,7 +816,7 @@ class TestWorkerLoop:
     def test_oneshot_gen_returns_batch(self, tmp_path):
         w = ThreadedWorker(gen_fn=oneshot_gen, ensemble_dir=str(tmp_path))
         w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN),
-                             RecordBatch.of([])))
+                             RecordBatch()))
         batch = w.results.get(timeout=5)
         assert isinstance(batch, GenBatch) and len(batch.points) == 3
         w.stop()
@@ -824,7 +824,7 @@ class TestWorkerLoop:
     def test_gen_crash_reports_worker(self, tmp_path):
         w = ThreadedWorker(gen_fn=crashing_gen, ensemble_dir=str(tmp_path))
         w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN,
-                                 persistent=True), RecordBatch.of([])))
+                                 persistent=True), RecordBatch()))
         crash = w.results.get(timeout=5)
         assert crash.worker_id == 2
         assert "generator exploded" in crash.traceback_text
@@ -834,11 +834,11 @@ class TestWorkerLoop:
         w = ThreadedWorker(gen_fn=counted_gen, ensemble_dir=str(tmp_path),
                            gen_params={"n_batches": 2})
         w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN,
-                                 persistent=True), RecordBatch.of([])))
+                                 persistent=True), RecordBatch()))
         for _ in range(2):
             batch = w.results.get(timeout=5)
             assert isinstance(batch, GenBatch) and len(batch.points) == 2
-            w.inbox.put(ResultsMsg(RecordBatch.of([])))
+            w.inbox.put(ResultsMsg(RecordBatch()))
         done = w.results.get(timeout=5)
         assert isinstance(done, GenDone)
         w.stop()
@@ -854,7 +854,7 @@ class TestWorkerLoop:
                            seed=17)
         h = make_history(points=2)
         for sid in (0, 1):
-            w.inbox.put(WorkMsg(sim_work((sid,)), RecordBatch.of([h.get(sid)])))
+            w.inbox.put(WorkMsg(sim_work((sid,)), RecordBatch.of_history(h, [sid])))
             w.results.get(timeout=5)
         w.stop()
         expected = np.random.default_rng(17 + 2).uniform(size=2)
@@ -872,7 +872,7 @@ class TestWorkerLoop:
 
         w = ThreadedWorker(sim_fn=waiting_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=1)
-        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of([h.get(0)])))
+        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of_history(h, [0])))
         w.inbox.put(StopMsg())
         assert isinstance(w.results.get(timeout=5), SimDone)
         w.thread.join(timeout=5)
@@ -882,10 +882,10 @@ class TestWorkerLoop:
     def test_kill_after_the_sim_returned_is_skipped(self, tmp_path, caplog):
         w = ThreadedWorker(sim_fn=norm_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=2)
-        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of([h.get(0)])))
+        w.inbox.put(WorkMsg(sim_work((0,)), RecordBatch.of_history(h, [0])))
         w.results.get(timeout=5)
         w.inbox.put(KillMsg((0,)))
-        w.inbox.put(WorkMsg(sim_work((1,)), RecordBatch.of([h.get(1)])))
+        w.inbox.put(WorkMsg(sim_work((1,)), RecordBatch.of_history(h, [1])))
         done = w.results.get(timeout=5)
         assert [sid for sid, _ in done.results] == [1]
         assert done.killed_ids == ()
@@ -895,7 +895,7 @@ class TestWorkerLoop:
     def test_error_in_a_pack_makes_only_its_record_nan(self, tmp_path):
         w = ThreadedWorker(sim_fn=picky_sim, ensemble_dir=str(tmp_path))
         h = make_history(points=3)
-        w.inbox.put(WorkMsg(sim_work((0, 1, 2)), RecordBatch.of(h.records)))
+        w.inbox.put(WorkMsg(sim_work((0, 1, 2)), RecordBatch.of_history(h, range(3))))
         done = w.results.get(timeout=5)
         assert [sid for sid, _ in done.results] == [0, 1, 2]
         assert math.isnan(done.results[1][1])
@@ -908,7 +908,7 @@ class TestWorkerLoop:
         w = ThreadedWorker(sim_fn=picky_sim, ensemble_dir=str(tmp_path),
                            sim_error="abort")
         h = make_history(points=3)
-        w.inbox.put(WorkMsg(sim_work((0, 1, 2)), RecordBatch.of(h.records)))
+        w.inbox.put(WorkMsg(sim_work((0, 1, 2)), RecordBatch.of_history(h, range(3))))
         done = w.results.get(timeout=5)
         assert [sid for sid, _ in done.results] == [0, 1]
         assert math.isnan(done.results[1][1])
@@ -920,7 +920,7 @@ class TestWorkerLoop:
         w = ThreadedWorker(gen_fn=counted_gen, ensemble_dir=str(tmp_path),
                            gen_params={"n_batches": 5})
         w.inbox.put(WorkMsg(Work(target_worker=2, tag=Tag.EVAL_GEN,
-                                 persistent=True), RecordBatch.of([])))
+                                 persistent=True), RecordBatch()))
         assert isinstance(w.results.get(timeout=5), GenBatch)
         w.inbox.put(StopMsg(Tag.PERSIS_STOP))
         assert isinstance(w.results.get(timeout=5), GenDone)
@@ -951,7 +951,7 @@ class TestPackedWork:
             return [float(r.sim_id) for r in records]
 
         h = make_history(points=3)
-        _run_sim(ctx, WorkMsg(sim_work((0, 1, 2)), RecordBatch.of(h.records)),
+        _run_sim(ctx, WorkMsg(sim_work((0, 1, 2)), RecordBatch.of_history(h, range(3))),
                  outbox, sim)
         (done,) = outbox
         return ctx, entered, done
@@ -1030,7 +1030,7 @@ class TestRecordBatch:
     @pytest.mark.parametrize("n_dims", [1, 3])
     def test_round_trip_keeps_the_sent_fields(self, n_dims):
         h = batch_history(n_dims)
-        batch = pickle.loads(pickle.dumps(RecordBatch.of(h.records)))
+        batch = pickle.loads(pickle.dumps(RecordBatch.of_history(h, range(len(h)))))
         got = batch.records()
         assert batch.sim_ids == [0, 1, 2, 3, 4] and len(got) == 5
         for rec, orig in zip(got, h.records):
@@ -1047,12 +1047,12 @@ class TestRecordBatch:
         assert [r.returned for r in got] == [True, True, False, False, False]
 
     def test_empty_round_trip(self):
-        batch = pickle.loads(pickle.dumps(RecordBatch.of([])))
+        batch = pickle.loads(pickle.dumps(RecordBatch.of_history(batch_history(2), [])))
         assert batch.sim_ids == [] and batch.records() == []
 
     def test_received_records_are_writable_copies(self):
         h = batch_history(2)
-        batch = RecordBatch.of(h.records)
+        batch = RecordBatch.of_history(h, range(len(h)))
         got = batch.records()
         got[0].x[:] = -1.0
         assert np.array_equal(h.get(0).x, np.array([0.0, 1.0]) / 7.0)
@@ -1066,8 +1066,8 @@ class TestRecordBatch:
         h.mark_given(ids, sim_worker=2, given_time=0.5)
         h.update_with_results([(sid, 0.5) for sid in ids], returned_time=1.0)
         work = Work(target_worker=1, tag=Tag.EVAL_GEN, persistent=True)
-        as_columns = len(pickle.dumps(WorkMsg(work, RecordBatch.of(h.records))))
-        as_records = len(pickle.dumps((work, h.records)))
+        as_columns = len(pickle.dumps(WorkMsg(work, RecordBatch.of_history(h, ids))))
+        as_records = len(pickle.dumps((work, list(h.records))))
         assert 3 * as_columns <= as_records
 
 
@@ -1304,9 +1304,9 @@ class TestRunEnsemble:
         formatted = [0]
         real_format = dynens.history._format_rows
 
-        def counting_format(records):
-            formatted[0] += len(records)
-            return real_format(records)
+        def counting_format(history, ids):
+            formatted[0] += len(ids)
+            return real_format(history, ids)
 
         written = []  # paths replaced through a temp file
         real_write = dynens.history._write_replace
@@ -1333,7 +1333,8 @@ class TestRunEnsemble:
             new = contents(path + ".journal")
             appended = new[len(old):].splitlines() if new.startswith(old) else None
             dumps.append((formatted[0] - before, appended,
-                          path in written[n_written:], real_format(self.records)))
+                          path in written[n_written:],
+                          real_format(self, range(len(self)))))
 
         scans = []  # (start, history length) per gen_record_ids call
         real_scan = HistoryView.gen_record_ids
@@ -1824,7 +1825,8 @@ class TestRunEnsemble:
         assert flag == "sim_max" and len(hist) == n + 1
         first = hist.records[:n]
         # More than a pipe buffer's worth was forwarded to the sleeper...
-        assert len(pickle.dumps(ResultsMsg(RecordBatch.of(first)))) > PIPE_BUFFER
+        assert len(pickle.dumps(ResultsMsg(
+            RecordBatch.of_history(hist, range(n))))) > PIPE_BUFFER
         # ...whose next point came only after its 2 s sleep, which began
         # before the first sim was dispatched...
         start = min(r.given_time for r in first)
@@ -1847,7 +1849,8 @@ class TestRunEnsemble:
         batch = hist.records[:n]
         assert len(pickle.dumps(GenBatch(1, [GenPoint(r.x) for r in batch]))) \
             > PIPE_BUFFER
-        assert len(pickle.dumps(ResultsMsg(RecordBatch.of(batch)))) > PIPE_BUFFER
+        assert len(pickle.dumps(ResultsMsg(
+            RecordBatch.of_history(hist, range(n))))) > PIPE_BUFFER
         assert_nothing_left_running(threads_before)
 
     def test_dead_generator_with_forwards_unsent_ends_the_run(self, tmp_path,
@@ -1880,7 +1883,8 @@ class TestRunEnsemble:
         assert len(hist) == hist.returned_count() == n
         # More than a pipe buffer's worth was forwarded to the sleeper,
         # and some of it waited in the manager, unsent.
-        assert len(pickle.dumps(ResultsMsg(RecordBatch.of(hist.records)))) \
+        assert len(pickle.dumps(ResultsMsg(
+            RecordBatch.of_history(hist, range(len(hist)))))) \
             > PIPE_BUFFER
         assert peak_unsent[0] > 0
 
