@@ -64,3 +64,8 @@ class LoopbackContext:
     def send_recv(self, points):
         self.send(points)
         return self.recv()
+
+
+def batch_of(records):
+    """records as a generator receives them: copies, not the originals."""
+    return [r.copy() for r in records]
