@@ -778,6 +778,27 @@ class TestAbsentValues:
                              include_times=True)
         assert h.get(2).sim_worker is None and h.get(2).given_time is None
 
+    @pytest.mark.parametrize("worker, when", [
+        (-1, 0.5), (np.int64(-1), 0.5), (2, math.nan), (2, np.float64("nan"))],
+        ids=["worker", "numpy-worker", "time", "numpy-time"])
+    def test_mark_given_refuses_a_stored_absent_value(self, worker, when):
+        h = make_history(3)
+        with pytest.raises(HistoryError, match="would read back as None"):
+            h.mark_given([0, 1], sim_worker=worker, given_time=when)
+        # Nothing was written: no record is given and every one still pends.
+        assert not any(r.given or r.sim_worker is not None or r.given_time is not None
+                       for r in h)
+        assert sorted(h.pending_ids()) == [0, 1, 2]
+
+    def test_update_with_results_refuses_a_nan_time(self):
+        h = make_history(3)
+        h.mark_given([0, 1], sim_worker=2, given_time=0.5)
+        with pytest.raises(HistoryError, match="would read back as None"):
+            h.update_with_results([(0, 1.0), (1, 2.0)], returned_time=math.nan)
+        assert h.returned_count() == 0
+        assert not any(r.returned or r.returned_time is not None for r in h)
+        assert all(math.isnan(r.f) for r in h)
+
     def test_values_beside_the_absent_one_round_trip(self, tmp_path):
         rec = EnsembleRecord(sim_id=0, x=np.zeros(2), given=True, returned=True,
                              sim_worker=0, given_time=math.inf, returned_time=-0.0)
