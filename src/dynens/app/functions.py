@@ -1,13 +1,14 @@
 """Bundled generators and simulators, plus the name registries the
 configuration layer resolves against.
 
-Generator calling convention: persistent generators receive
-(history_in, params, ctx) where ctx carries send/recv plus a seeded rng,
-and run until a stop tag; one-shot generators return a list of GenPoint.
-Simulators receive (records, params, ctx) and return one objective value
-per record. The worker calls a simulator once per record, with a
-one-record list, even when one Work carries several records; an
-exception makes only that record NaN.
+Generator calling convention: generators receive (history_in, params,
+ctx), history_in being the run so far as a RecordBatch. A persistent one
+gets a ctx carrying send/recv, whose results are RecordBatches, plus a
+seeded rng, and runs until a stop tag; one-shot generators return a list
+of GenPoint. Simulators receive (records, params, ctx) and return one
+objective value per record: the worker calls a simulator once per
+record, with a list of one record holding its sim_id and x, even when
+one Work carries several; an exception makes only that record NaN.
 """
 
 from __future__ import annotations
@@ -41,10 +42,7 @@ def _fast_forward(ctx, history_in, lb, ub, n):
     """
     if len(history_in):
         ctx.rng.uniform(lb, ub, (len(history_in), n))
-    if any(not r.returned for r in history_in):
-        tag, _ = ctx.recv()
-        return tag
-    return Tag.RESULT
+    return Tag.RESULT if history_in.returned.all() else ctx.recv()[0]
 
 
 def gen_random_batch(history_in, params, ctx):

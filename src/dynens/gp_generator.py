@@ -8,11 +8,11 @@ batch under a shrinking minimum-separation radius. One metrics row per
 iteration.
 
 The context object handed to ``gp_gen_loop`` supplies ``rng``, ``seed``,
-``send(points)``, ``recv()`` and ``send_recv(points)``; results arrive as
-history records. A restarted generator is reconstructed by replaying the
-prior history chunk by chunk and completes a batch left in flight with
-the records the manager forwards, so a resumed ensemble continues
-exactly where an uninterrupted one would be.
+``send(points)``, ``recv()`` and ``send_recv(points)``; the history and
+results arrive as RecordBatch columns. A restarted generator is
+reconstructed by replaying the prior history chunk by chunk and
+completes a batch left in flight with the records the manager forwards,
+so a resumed ensemble continues exactly where an uninterrupted one would be.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import EnsembleRecord, GenPoint
+from .history import GenPoint
 from .runtime.messages import STOP_TAGS, Tag
 from .surrogate import (GaussianProcess, TrainMethod, crps_gaussian,
                         one_blas_thread)
@@ -249,12 +249,11 @@ class _OnlineLearner:
         self.noise_set = False
         self.iteration = 0
 
-    def ingest(self, records: list[EnsembleRecord]):
-        """Fold one returned batch in: drop NaNs, score the pre-update
-        model on the batch, extend the data, retrain. Returns None when
-        the whole batch was NaN (nothing to learn from)."""
-        X = np.array([r.x for r in records], dtype=float)
-        y = np.array([r.f for r in records], dtype=float)
+    def ingest(self, X, y):
+        """Fold one returned batch in, its x rows X and f values y: drop
+        NaNs, score the pre-update model on the batch, extend the data,
+        retrain. Returns None when the whole batch was NaN (nothing to
+        learn from)."""
         valid = np.isfinite(y)
         if not self.noise_set and np.any(valid):
             level = NOISE_FRACTION * float(np.mean(np.abs(y[valid])))
@@ -279,35 +278,32 @@ class _OnlineLearner:
         train_seconds = time.perf_counter() - t0
         return rmse_batch, method, train_seconds
 
-    def replay(self, records: list[EnsembleRecord], batch_size: int,
-               random_mode: bool):
-        """Re-apply a prior history in generation order. Complete returned
-        chunks are ingested; a trailing chunk with unreturned records is
-        the batch still in flight, to be awaited rather than re-selected.
+    def replay(self, history, batch_size: int, random_mode: bool):
+        """Re-apply a prior history, a RecordBatch in sim_id order, in
+        batch_size chunks. Complete returned chunks are ingested; from the
+        first chunk with an unreturned record on, the rest is the batch
+        still in flight, to be awaited rather than re-selected.
 
-        Returns (the in-flight records, the uniform rows the prior run
-        drew, whether the last ingested chunk was all NaN). The prior run
+        Returns (the indices of the in-flight batch's returned records,
+        None without a batch in flight; the uniform rows the prior run
+        drew; whether the last ingested chunk was all NaN). The prior run
         drew one row per point of the bootstrap batch, of every batch
         sent after an all-NaN one, and of every batch in random mode."""
-        records = sorted(records, key=lambda r: r.sim_id)
         drawn = 0
         dead = True  # the bootstrap batch is drawn like a re-probe
-        pos = 0
-        while pos < len(records):
-            chunk = records[pos:pos + batch_size]
+        for pos in range(0, len(history), batch_size):
+            chunk = slice(pos, pos + batch_size)
+            returned = history.returned[chunk]
             if random_mode or dead:
-                drawn += len(chunk)
-            if not all(r.returned for r in chunk):
-                break
-            self.sent.add([r.x for r in chunk])
-            dead = self.ingest(chunk) is None
-            pos += batch_size
-        # The suffix is the batch still in flight. Its already-returned
-        # records are here only: the manager forwards just the rest.
-        outstanding = records[pos:]
-        if outstanding:
-            self.sent.add([r.x for r in outstanding])
-        return outstanding, drawn, dead
+                drawn += len(returned)
+            if not returned.all():
+                # Its already-returned records are here only: the
+                # manager forwards just the rest.
+                self.sent.add(history.x[pos:])
+                return np.flatnonzero(history.returned[pos:]) + pos, drawn, dead
+            self.sent.add(history.x[chunk])
+            dead = self.ingest(history.x[chunk], history.f[chunk]) is None
+        return None, drawn, dead
 
 
 def gp_gen_loop(history_in, params: dict, ctx) -> Tag:
@@ -347,8 +343,8 @@ def _gp_gen_loop(history_in, params: dict, ctx) -> Tag:
         points = [GenPoint(x=row) for row in np.atleast_2d(X)]
         learner.sent.add(X)
         t0 = time.perf_counter()
-        tag, recs = ctx.send_recv(points)
-        return tag, recs, time.perf_counter() - t0
+        tag, got = ctx.send_recv(points)
+        return tag, (got.x, got.f), time.perf_counter() - t0
 
     def step(outcome, sim_seconds):
         """Select the next batch and send it, after the metrics row of the
@@ -374,17 +370,18 @@ def _gp_gen_loop(history_in, params: dict, ctx) -> Tag:
                 *metrics(learner.model, test_set, variances)))
         return dispatch(batch)
 
-    outstanding, drawn, dead = learner.replay(history_in, batch_size,
-                                              random_mode)
+    held, drawn, dead = learner.replay(history_in, batch_size, random_mode)
     # Burning the rows the prior run drew realigns the stream.
     ctx.rng.uniform(lb, ub, (drawn, n))
-    if outstanding:
+    if held is not None:
         t0 = time.perf_counter()
-        tag, received = ctx.recv()
+        tag, got = ctx.recv()
         sim_seconds = time.perf_counter() - t0
-        # Complete the in-flight batch as an uninterrupted run receives it.
-        received = sorted([r for r in outstanding if r.returned] + received,
-                          key=lambda r: r.sim_id)
+        # Complete the in-flight batch as an uninterrupted run receives
+        # it: the held rows and the forwarded ones, in sim_id order.
+        order = np.argsort(np.concatenate([history_in.sim_ids[held], got.sim_ids]))
+        X = np.concatenate([history_in.x[held], got.x.reshape(len(got), n)])
+        received = X[order], np.concatenate([history_in.f[held], got.f])[order]
     elif dead:
         # A fresh run bootstraps; a resumed one whose last batch all died
         # re-probes, as the prior run would have.
@@ -397,7 +394,7 @@ def _gp_gen_loop(history_in, params: dict, ctx) -> Tag:
         tag, received, sim_seconds = step(None, float("nan"))
 
     while tag not in STOP_TAGS:
-        outcome = learner.ingest(received)
+        outcome = learner.ingest(*received)
         if outcome is None:
             # Every point came back dead; probe somewhere fresh.
             tag, received, sim_seconds = dispatch(

@@ -16,11 +16,11 @@ one (capacity x n_dims) float64 block and every other field one array. One
 codec, _SPELL, spells each column's stored values as cells and parses them
 back, so dump and load touch stored values only; a field with no value
 stores its column's absent value (NaN for a time, -1 for sim_worker).
-Records exist only at the API boundary: append encodes one. It refuses a
-stored absent value, which would read back as None, and so do mark_given
-and update_with_results for the worker and times they write. get, field,
-iteration, records and pending_sims decode copies, so changing one leaves
-the history as it was. Records change only through History's write methods and append,
+Records exist only at the API boundary: append, like mark_given and
+update_with_results, refuses a stored absent value, which would read back
+as None; get, field, iteration, records and pending_sims decode copies,
+so changing one leaves the history as it was. Records change only
+through History's write methods and append,
 which keep the running indexes (returned count, best f, pending ids) and
 the cached dump rows current. Bulk readers (adoption, the batches sent to
 workers, the allocator's scans, dump) copy whole columns.
@@ -126,6 +126,10 @@ class _Column(NamedTuple):
     dtype: type            # of the History column
     absent: object = None  # the stored value a record reads as None, if any
 
+    def holds_none(self, value) -> bool:
+        """Whether value is the absent one, which reads back as None."""
+        return self.absent is not None and (value != value or value == self.absent)
+
 
 def _optional(spell_one: Callable, parse_one: Callable, dtype: type,
               absent) -> _Column:
@@ -173,13 +177,6 @@ _DEFAULTS = {fld.name: _SPELL[fld.name].absent if fld.default is None else fld.d
 
 # Records formatted together; bounds the temporary column lists.
 _FORMAT_CHUNK = 512
-
-
-def _is_absent(name: str, value) -> bool:
-    """Whether value is column name's stored absent value, which a record
-    reads back as None."""
-    absent = _SPELL[name].absent
-    return absent is not None and (value != value or value == absent)
 
 
 def _decode(col: _Column, values: list) -> list:
@@ -300,7 +297,7 @@ class History:
         if name == "x":
             return self._x[sim_id].copy()
         value = self._cols[name].item(sim_id)
-        return None if _is_absent(name, value) else value
+        return None if _SPELL[name].holds_none(value) else value
 
     def columns(self, *names: str, ids: Sequence[int] | None = None) -> list[np.ndarray]:
         """Copies of the named columns over ids (which must name records
@@ -401,7 +398,7 @@ class History:
                     raise HistoryError(f"appended {name} is None, which its column "
                                        "cannot store")
                 value = c.absent
-            elif _is_absent(name, value):
+            elif c.holds_none(value):
                 raise HistoryError(f"appended {name}={value!r} would read back "
                                    "as None; pass None for no value")
             stored.append(value)
@@ -444,12 +441,10 @@ class History:
             self._best_f = f
 
     def mark_given(self, sim_ids: Iterable[int], sim_worker: int, given_time: float) -> None:
-        """Give records to sim_worker at given_time, neither of which may
-        be its column's absent value: it would read back as None."""
-        for name, value in (("sim_worker", sim_worker), ("given_time", given_time)):
-            if _is_absent(name, value):
-                raise HistoryError(f"given with {name}={value!r}, which would "
-                                   "read back as None")
+        if (_SPELL["sim_worker"].holds_none(sim_worker)
+                or _SPELL["given_time"].holds_none(given_time)):
+            raise HistoryError(f"given with sim_worker={sim_worker!r} and given_time="
+                               f"{given_time!r}, which would read back as None")
         c, n, rows = self._cols, self._n, self._rows
         given, worker, times = c["given"], c["sim_worker"], c["given_time"]
         for sid in sim_ids:
@@ -480,9 +475,8 @@ class History:
             self._touch(sid)
 
     def update_with_results(self, results: Iterable[tuple[int, float]], returned_time: float) -> None:
-        """Record f for sim_ids that were given and have not yet returned,
-        at a returned_time that is not NaN: it would read back as None."""
-        if _is_absent("returned_time", returned_time):
+        """Record f for sim_ids that were given and have not yet returned."""
+        if _SPELL["returned_time"].holds_none(returned_time):
             raise HistoryError(f"returned with returned_time={returned_time!r}, "
                                "which would read back as None")
         c, n, rows = self._cols, self._n, self._rows

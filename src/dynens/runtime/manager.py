@@ -392,13 +392,9 @@ class _Manager:
             return False
         return not self.history.pending_ids()
 
-    def _batch(self, sim_ids) -> RecordBatch:
-        """A snapshot of these records, as the message a worker reads."""
-        return RecordBatch.of_history(self.history, sim_ids)
-
     def _execute(self, action) -> None:
         if isinstance(action, Forward):
-            batch = self._batch(action.record_ids)
+            batch = RecordBatch.of_history(self.history, action.record_ids)
             self.inboxes[action.target_worker].put(ResultsMsg(batch))
             self._trace("forward", action.record_ids, action.target_worker)
             return
@@ -409,14 +405,14 @@ class _Manager:
         if action.tag is Tag.EVAL_SIM:
             self.history.mark_given(action.record_ids, action.target_worker,
                                     self._now())
-            batch = self._batch(action.record_ids)
+            batch = RecordBatch.of_history(self.history, action.record_ids)
             state.status = WorkerStatus.BUSY_SIM
             if action.assignment is not None:
                 self.assignments[action.target_worker] = action.assignment
             self._trace("dispatch", action.record_ids, action.target_worker)
         else:
             # Generators read the whole history so far.
-            batch = self._batch(range(len(self.history)))
+            batch = RecordBatch.of_history(self.history, range(len(self.history)))
             state.status = (WorkerStatus.PERSISTENT_GEN if action.persistent
                             else WorkerStatus.BUSY_GEN)
         self.inboxes[action.target_worker].put(WorkMsg(action, batch))

@@ -15,11 +15,11 @@ poll_signals and a generator's recv all take from the inbox through one
 reader, which notes the stop and each KILL. A worker that ends
 unstopped closes its pipe and so ends the run.
 
-Records travel to workers as a RecordBatch of columns, never as the
-manager's own objects. User functions receive the EnsembleRecords it
-rebuilds: sim_id, x, f, returned, num_procs and num_gpus are the
-manager's values; every other field keeps its default (gen_worker 0,
-given False, no times, and so on).
+Records travel to workers as a RecordBatch of four columns, never as
+the manager's own objects: sim_id, x, f and returned. A generator
+receives the batch itself; a simulator is called once per record, with
+a one-record list whose EnsembleRecord holds that record's sim_id and x
+and the defaults of every other field (f NaN, num_procs 0, and so on).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from ..history import EnsembleRecord, GenPoint
+from ..history import GenPoint
 from ..resources import Assignment
 
 
@@ -98,48 +98,42 @@ class ExitCriteria:
 # -- manager -> worker ---------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class RecordBatch:
-    """Records as the columns a worker reads: sim ids, x as one float64
-    block, and f, returned, num_procs and num_gpus.
+    """Records as the columns a receiver reads: sim_ids (int64), x as one
+    (n, n_dims) float64 array (an empty batch's is (0, 0)), f (float64)
+    and returned (bool). Built by copying a History's columns, it is a
+    snapshot the manager may send while they change. It travels as a
+    list, the x bytes and two lists, decoded once where it is unpickled
+    into arrays the receiver owns and may write."""
 
-    Building one copies every value out of a History's columns, so the
-    batch is a snapshot the manager may send while it goes on changing
-    them.
-    """
-
-    sim_ids: list[int] = field(default_factory=list)
-    x: bytes = b""
-    f: list[float] = field(default_factory=list)
-    returned: list[bool] = field(default_factory=list)
-    num_procs: list[int] = field(default_factory=list)
-    num_gpus: list[int] = field(default_factory=list)
+    sim_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    x: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    f: np.ndarray = field(default_factory=lambda: np.empty(0))
+    returned: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
 
     @classmethod
     def of_history(cls, history, sim_ids) -> "RecordBatch":
         """These records of a History, read from its columns."""
-        X, f, returned, num_procs, num_gpus = history.columns(
-            "x", "f", "returned", "num_procs", "num_gpus", ids=sim_ids)
-        return cls(list(sim_ids), X.tobytes(), f.tolist(), returned.tolist(),
-                   num_procs.tolist(), num_gpus.tolist())
+        return cls(np.asarray(sim_ids, np.int64),
+                   *history.columns("x", "f", "returned", ids=sim_ids))
+
+    def __len__(self) -> int:
+        return len(self.sim_ids)
 
     def __reduce__(self):
         # Pickled as its values alone: the field names would be about a
         # third of a one-record batch's bytes.
-        return RecordBatch, (self.sim_ids, self.x, self.f, self.returned,
-                             self.num_procs, self.num_gpus)
+        return _received, (self.sim_ids.tolist(), self.x.tobytes(),
+                           self.f.tolist(), self.returned.tolist())
 
-    def records(self) -> list[EnsembleRecord]:
-        """The batch as fresh records; unsent fields keep their defaults."""
-        if not self.sim_ids:
-            return []
-        X = np.frombuffer(self.x, dtype=np.float64)
-        X = X.reshape(len(self.sim_ids), -1).copy()
-        return [EnsembleRecord(sid, x, f, returned=ret, num_procs=procs,
-                               num_gpus=gpus)
-                for sid, x, f, ret, procs, gpus in zip(
-                    self.sim_ids, X, self.f, self.returned, self.num_procs,
-                    self.num_gpus)]
+
+def _received(sim_ids, x, f, returned) -> RecordBatch:
+    """A batch as its receiver holds it, decoded from its pickled values."""
+    n = len(sim_ids)
+    x = np.frombuffer(x).reshape(n, -1).copy() if n else np.empty((0, 0))
+    return RecordBatch(np.array(sim_ids, np.int64), x, np.array(f, np.float64),
+                       np.array(returned, bool))
 
 
 @dataclass

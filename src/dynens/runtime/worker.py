@@ -26,10 +26,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..executor import Executor
+from ..history import EnsembleRecord
 from .messages import (
     GenBatch,
     GenDone,
     KillMsg,
+    RecordBatch,
     ResultsMsg,
     SimDone,
     StopMsg,
@@ -122,7 +124,8 @@ class WorkerContext:
         order; kills for sims this worker is not running are still
         reported and filtered by the caller. As it is read, a KILL also
         joins `kills_seen` and a STOP sets `stopping`, so the worker exits
-        once the simulation has returned.
+        once the simulation has returned. The drain ends at a stop: an
+        ended inbox reads as one at every read.
         """
         signals: list[tuple[str, int | None]] = []
         while (msg := self._read(block=False)) is not None:
@@ -130,6 +133,7 @@ class WorkerContext:
                 signals.extend(("KILL", sid) for sid in msg.sim_ids)
             elif isinstance(msg, StopMsg):
                 signals.append(("STOP", None))
+                break
             else:
                 log.warning("worker %d: unexpected message mid-simulation %r",
                             self.worker_id, msg)
@@ -159,16 +163,17 @@ class PersistentGenContext:
         """Hand new points to the manager; request_cancel withdraws old ones."""
         self._outbox.send(GenBatch(self.worker_id, list(points)))
 
-    def recv(self) -> tuple[Tag, list]:
+    def recv(self) -> tuple[Tag, RecordBatch]:
+        """(RESULT, the forwarded batch), or (a stop tag, an empty one)."""
         msg = self._worker_ctx._read(block=True)
         if isinstance(msg, StopMsg):
-            return msg.tag, []
+            return msg.tag, RecordBatch()
         if isinstance(msg, ResultsMsg):
-            return Tag.RESULT, msg.batch.records()
+            return Tag.RESULT, msg.batch
         raise ProtocolError(
             f"unexpected message for a persistent generator: {msg!r}")
 
-    def send_recv(self, points) -> tuple[Tag, list]:
+    def send_recv(self, points) -> tuple[Tag, RecordBatch]:
         self.send(points)
         return self.recv()
 
@@ -178,43 +183,43 @@ class PersistentGenContext:
 
 
 def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
-    """Run a Work's records in order, one sim_fn call each.
-
-    The inbox is drained between records: a KILL for a later record,
-    drained here or earlier by the sim's own poll_signals, withdraws it
-    before it starts, and a STOP leaves the rest of the pack unstarted.
-    An exception makes its own record NaN; under sim_error "nan" the
-    pack goes on, under "abort" the rest of it is left unstarted.
+    """Run a Work's records in order, one sim_fn call each on a list of
+    one EnsembleRecord of its sim_id and x row. The inbox is drained
+    between records: a KILL for a later record, drained here or earlier
+    by the sim's own poll_signals, withdraws it before it starts, and a
+    STOP leaves the rest of the pack unstarted. An exception makes its
+    own record NaN; under sim_error "nan" the pack goes on, under "abort"
+    the rest of it is left unstarted.
     """
-    records = msg.batch.records()
+    sim_ids = msg.batch.sim_ids.tolist()
     ctx.assignment = msg.work.assignment
     ctx.killed = []
     ctx.kills_seen = set()
     results: list[tuple[int, float]] = []
     unstarted: list[int] = []
     errors: list[str] = []
-    for i, rec in enumerate(records):
+    for i, (sid, x) in enumerate(zip(sim_ids, msg.batch.x)):
         if i:
             ctx.poll_signals()
             if ctx.stopping:
-                unstarted.extend(r.sim_id for r in records[i:])
+                unstarted.extend(sim_ids[i:])
                 break
-            if rec.sim_id in ctx.kills_seen:
-                unstarted.append(rec.sim_id)
+            if sid in ctx.kills_seen:
+                unstarted.append(sid)
                 continue
-        ctx.current_sim_ids = {rec.sim_id}
+        ctx.current_sim_ids = {sid}
         try:
-            (fval,) = sim_fn([rec], ctx.config.sim_params, ctx)
-            results.append((rec.sim_id, float(fval)))
+            (fval,) = sim_fn([EnsembleRecord(sid, x)], ctx.config.sim_params, ctx)
+            results.append((sid, float(fval)))
         except Exception:
             # The record still needs an answer; NaN marks the failure and
             # the manager decides whether that aborts the ensemble.
-            results.append((rec.sim_id, float("nan")))
+            results.append((sid, float("nan")))
             errors.append(traceback.format_exc())
             if ctx.config.sim_error == "abort":
                 # The manager ends the run on this error; the rest of
                 # the pack stays given and reruns on resume.
-                unstarted.extend(r.sim_id for r in records[i + 1:])
+                unstarted.extend(sim_ids[i + 1:])
                 break
     ctx.current_sim_ids = set()
     ctx.assignment = None
@@ -225,16 +230,15 @@ def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
 
 def _run_gen(ctx: WorkerContext, msg: WorkMsg, outbox, gen_fn) -> None:
     params = ctx.config.gen_params
-    records = msg.batch.records()
     try:
         if msg.work.persistent:
-            gen_fn(records, params, PersistentGenContext(ctx, outbox))
+            gen_fn(msg.batch, params, PersistentGenContext(ctx, outbox))
             outbox.send(GenDone(ctx.worker_id))
         else:
             # Sent inside the try: a batch that cannot be pickled is a
             # crash the manager hears about, not a dead worker.
             outbox.send(GenBatch(ctx.worker_id,
-                                 list(gen_fn(records, params, ctx))))
+                                 list(gen_fn(msg.batch, params, ctx))))
     except Exception:
         outbox.send(WorkerCrash(ctx.worker_id, traceback.format_exc()))
 

@@ -1,13 +1,16 @@
 """In-process stand-in for a persistent-generator context.
 
 Evaluates each sent batch inline with a plain function, so generator
-logic can be exercised without a manager, workers, or subprocesses.
+logic can be exercised without a manager, workers, or subprocesses. It
+delivers results as the RecordBatches a worker's context receives.
 """
+
+import pickle
 
 import numpy as np
 
 from dynens.history import EnsembleRecord
-from dynens.runtime.messages import Tag
+from dynens.runtime.messages import RecordBatch, Tag
 
 
 class LoopbackContext:
@@ -34,12 +37,12 @@ class LoopbackContext:
                 rec.f = float(self.func(rec.x))
                 rec.given = rec.returned = True
                 rec.given_time = rec.returned_time = 0.0
-            self._pending = (Tag.RESULT, [r.copy() for r in unreturned])
+            self._pending = (Tag.RESULT, batch_of(unreturned))
             self._batches_left -= 1
 
     def send(self, points):
         if self._batches_left <= 0:
-            self._pending = (Tag.PERSIS_STOP, [])
+            self._pending = (Tag.PERSIS_STOP, RecordBatch())
             return
         batch = []
         for p in points:
@@ -51,13 +54,13 @@ class LoopbackContext:
                 given=True, returned=True, given_time=0.0, returned_time=0.0)
             self._next_id += 1
             self.records.append(rec)
-            batch.append(rec.copy())
+            batch.append(rec)
         self._batches_left -= 1
-        self._pending = (Tag.RESULT, batch)
+        self._pending = (Tag.RESULT, batch_of(batch))
 
     def recv(self):
         if self._pending is None:
-            return (Tag.PERSIS_STOP, [])
+            return (Tag.PERSIS_STOP, RecordBatch())
         out, self._pending = self._pending, None
         return out
 
@@ -67,5 +70,11 @@ class LoopbackContext:
 
 
 def batch_of(records):
-    """records as a generator receives them: copies, not the originals."""
-    return [r.copy() for r in records]
+    """records as a generator receives them: a RecordBatch of their
+    sim_id, x, f and returned columns, decoded from its pickled form as a
+    worker decodes it."""
+    batch = RecordBatch(np.array([r.sim_id for r in records], np.int64),
+                        np.array([r.x for r in records], dtype=float),
+                        np.array([r.f for r in records], dtype=float),
+                        np.array([r.returned for r in records], dtype=bool))
+    return pickle.loads(pickle.dumps(batch))

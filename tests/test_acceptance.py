@@ -46,6 +46,7 @@ from dynens.runtime import (
     STOP_TAGS,
     run_ensemble,
 )
+from dynens.runtime.messages import RecordBatch
 from dynens.surrogate import GaussianProcess, TrainMethod
 
 
@@ -269,7 +270,7 @@ def test_criterion_05_online_learning_beats_random(tmp_path):
                       "test_X": test_X, "test_y": test_y,
                       "metrics_path": str(tmp_path / f"{mode}_{trial}.csv")}
             ctx = LoopbackContext(func, seed=trial, n_batches=10)
-            gp_gen_loop([], params, ctx)
+            gp_gen_loop(RecordBatch(), params, ctx)
             rows = _mse_rows(params["metrics_path"])
             assert len(rows) == 10
             finals[mode] = float(rows[-1]["mse_test"])
@@ -358,7 +359,7 @@ def test_criterion_06_timeout_kill(tmp_path, stub_app, fake_mpiexec):
     params = {"lb": [0.0, 0.0], "ub": [1.0, 1.0], "batch_size": 8,
               "points_per_dim": 12,
               "metrics_path": str(tmp_path / "nan_metrics.csv")}
-    gp_gen_loop([], params, LoopbackContext(func, seed=1, n_batches=3))
+    gp_gen_loop(RecordBatch(), params, LoopbackContext(func, seed=1, n_batches=3))
     sizes = [int(r["n_train"]) for r in _mse_rows(params["metrics_path"])]
     assert sizes == [8, 15, 23], f"dead point reached the model: {sizes}"
 

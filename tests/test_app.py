@@ -23,6 +23,9 @@ from dynens.executor import Executor
 from dynens.history import EnsembleRecord, GenPoint, History
 from dynens.resources import PlatformSpec
 from dynens.runtime import DefaultAlloc, PersistentAlloc, Tag, run_ensemble
+from dynens.runtime.messages import RecordBatch
+
+from loopback import batch_of
 
 SHIPPED = {name: os.path.join(CONFIGS_DIR, name)
            for name in os.listdir(CONFIGS_DIR)}
@@ -102,7 +105,7 @@ class TestRandomBatch:
     def test_batches_within_bounds(self):
         ctx = FakeGenCtx(seed=0, batches=4)
         params = {"lb": [-3, -2], "ub": [3, 2], "batch_size": 50}
-        tag = gen_random_batch([], params, ctx)
+        tag = gen_random_batch(RecordBatch(), params, ctx)
         assert tag == Tag.PERSIS_STOP
         assert len(ctx.sent) == 4
         for batch in ctx.sent:
@@ -113,19 +116,19 @@ class TestRandomBatch:
     def test_identical_seeds_identical_points(self):
         params = {"lb": [0, 0], "ub": [1, 1], "batch_size": 8}
         a, b = FakeGenCtx(seed=5, batches=2), FakeGenCtx(seed=5, batches=2)
-        gen_random_batch([], params, a)
-        gen_random_batch([], params, b)
+        gen_random_batch(RecordBatch(), params, a)
+        gen_random_batch(RecordBatch(), params, b)
         assert np.array_equal(np.array([p.x for p in a.sent[0]]),
                               np.array([p.x for p in b.sent[0]]))
 
     def test_prior_history_burns_the_stream(self):
         params = {"lb": [0, 0], "ub": [1, 1], "batch_size": 2}
         fresh = FakeGenCtx(seed=9, batches=2)
-        gen_random_batch([], params, fresh)
+        gen_random_batch(RecordBatch(), params, fresh)
 
         resumed = FakeGenCtx(seed=9, batches=1)
         prior = [record(i, p.x) for i, p in enumerate(fresh.sent[0])]
-        gen_random_batch(prior, params, resumed)
+        gen_random_batch(batch_of(prior), params, resumed)
         # The resumed stream continues where the first run's second batch was.
         assert np.array_equal(np.array([p.x for p in resumed.sent[0]]),
                               np.array([p.x for p in fresh.sent[1]]))
@@ -135,7 +138,7 @@ class TestRandomBatch:
         params = {"lb": [0, 0], "ub": [1, 1], "batch_size": 2}
         prior = [record(0, [0.1, 0.1]), record(1, [0.2, 0.2], returned=False)]
         ctx = FakeGenCtx(seed=9, batches=1)
-        gen_random_batch(prior, params, ctx)
+        gen_random_batch(batch_of(prior), params, ctx)
         assert ctx.recv_calls == 1
 
 
@@ -147,18 +150,18 @@ class TestGpuBucketBatch:
         ctx = FakeGenCtx(batches=1)
         ctx.rng = _RiggedRng(rows)
         params = {"lb": [0, 0], "ub": [8, 1], "batch_size": 6, "max_gpus": 4}
-        gen_gpu_bucket_batch([], params, ctx)
+        gen_gpu_bucket_batch(RecordBatch(), params, ctx)
         assert [p.num_gpus for p in ctx.sent[0]] == [1, 1, 1, 2, 4, 4]
 
     def test_single_bucket_always_one_gpu(self):
         ctx = FakeGenCtx(batches=2)
         params = {"lb": [0, 0], "ub": [8, 1], "batch_size": 5, "max_gpus": 1}
-        gen_gpu_bucket_batch([], params, ctx)
+        gen_gpu_bucket_batch(RecordBatch(), params, ctx)
         assert all(p.num_gpus == 1 for batch in ctx.sent for p in batch)
 
     def test_rejects_nonpositive_max_gpus(self):
         with pytest.raises(ValueError, match="max_gpus"):
-            gen_gpu_bucket_batch([], {"lb": [0], "ub": [1], "batch_size": 1,
+            gen_gpu_bucket_batch(RecordBatch(), {"lb": [0], "ub": [1], "batch_size": 1,
                                       "max_gpus": 0}, FakeGenCtx())
 
 

@@ -11,6 +11,7 @@ import pytest
 from dynens import surrogate
 from dynens.gp_generator import gp_gen_loop
 from dynens.runtime import ExitCriteria, PersistentAlloc, RunConfig, run_ensemble
+from dynens.runtime.messages import RecordBatch
 from loopback import LoopbackContext
 
 PARAMS = {"lb": [-1.0, -1.0], "ub": [1.0, 1.0], "batch_size": 4,
@@ -97,7 +98,7 @@ def test_generator_that_raises_restores(two_threads):
 
     ctx = Failing(lambda x: float(np.sum(x ** 2)), seed=3, n_batches=4)
     with pytest.raises(RuntimeError, match="lost the manager"):
-        gp_gen_loop([], dict(PARAMS), ctx)
+        gp_gen_loop(RecordBatch(), dict(PARAMS), ctx)
     assert ctx.seen == [1] * len(two_threads)
     assert counts() == two_threads
 

@@ -25,7 +25,7 @@ from dynens.gp_generator import (
 from dynens.runtime.messages import Tag
 from dynens.surrogate import GaussianProcess, crps_gaussian
 
-from loopback import LoopbackContext
+from loopback import LoopbackContext, batch_of
 
 
 def reference_select(points, variances, b, r_init, r_decay, r_min, exclude):
@@ -402,7 +402,7 @@ def loop_params(**over):
 
 def run_loop(func, seed, n_batches, params, history_in=None, preload=None):
     ctx = LoopbackContext(func, seed, n_batches, preload=preload)
-    tag = gp_gen_loop(history_in or [], params, ctx)
+    tag = gp_gen_loop(batch_of(history_in or []), params, ctx)
     return ctx, tag
 
 
@@ -570,7 +570,7 @@ def test_loop_restart_matches_uninterrupted(random_mode, dead):
     assert len(first.records) == 48
     resumed = LoopbackContext(bowl_with_dead_batch(dead, first_sim=48),
                               seed=17, n_batches=4, preload=first.records)
-    tag = gp_gen_loop([r.copy() for r in first.records], params, resumed)
+    tag = gp_gen_loop(batch_of(first.records), params, resumed)
     assert tag == Tag.PERSIS_STOP
 
     assert len(resumed.records) == len(full.records) == 80
@@ -605,7 +605,7 @@ def test_loop_restart_with_outstanding_batch():
             history.append(rec)
 
         resumed = LoopbackContext(bowl, seed=23, n_batches=3, preload=history)
-        tag = gp_gen_loop([r.copy() for r in history], params, resumed)
+        tag = gp_gen_loop(batch_of(history), params, resumed)
         assert tag == Tag.PERSIS_STOP
         assert len(resumed.records) == len(full.records) == 64
         for ra, rb in zip(full.records, resumed.records):
@@ -619,7 +619,7 @@ def test_loop_restart_appends_metrics(tmp_path):
     first, _ = run_loop(bowl, seed=29, n_batches=4, params=params)
     resumed = LoopbackContext(bowl, seed=29, n_batches=3,
                               preload=first.records)
-    gp_gen_loop([r.copy() for r in first.records], params, resumed)
+    gp_gen_loop(batch_of(first.records), params, resumed)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     # Rows 1..4 from the first run; the boundary iteration is not

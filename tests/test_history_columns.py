@@ -261,7 +261,7 @@ def test_adoption_and_start_batch_build_no_record(monkeypatch):
 
     (msg,) = sent
     assert isinstance(msg, WorkMsg) and isinstance(msg.batch, RecordBatch)
-    assert msg.batch.sim_ids == list(range(5000))
+    assert msg.batch.sim_ids.tolist() == list(range(5000))
     assert sum(msg.batch.returned) == 4990 == manager.history.returned_count()
     assert manager.history.pending_ids()[:3] == sorted(
         range(4990, 5000), key=lambda sid: (-(sid % 3), sid))[:3]

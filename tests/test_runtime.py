@@ -101,7 +101,7 @@ def random_batch_gen(history_in, params, ctx):
     n = len(lb)
     if len(history_in):
         ctx.rng.uniform(lb, ub, (len(history_in), n))
-    if any(not r.returned for r in history_in):
+    if not history_in.returned.all():
         tag, _ = ctx.recv()
         if tag in STOP_TAGS:
             return tag
@@ -145,10 +145,10 @@ def cancelling_gen(history_in, params, ctx):
     ctx.request_cancel([1])
     got = 0
     while got < 3:
-        tag, recs = ctx.recv()
+        tag, batch = ctx.recv()
         if tag in STOP_TAGS:
             return tag
-        got += len(recs)
+        got += len(batch)
     tag, _ = ctx.recv()
     return tag
 
@@ -158,9 +158,9 @@ def withdrawing_gen(history_in, params, ctx):
     been given yet, and saves the sim_ids of the batch it gets back."""
     ctx.send([GenPoint(x) for x in ctx.rng.uniform(0, 1, (3, 2))])
     ctx.request_cancel([2])
-    tag, recs = ctx.recv()
+    tag, batch = ctx.recv()
     with open(os.path.join(ctx.ensemble_dir, "received.pkl"), "wb") as fh:
-        pickle.dump((tag, [r.sim_id for r in recs or []]), fh)
+        pickle.dump((tag, batch.sim_ids.tolist()), fh)
 
 
 def dying_sim(records, params, ctx):
@@ -210,10 +210,10 @@ def sleepy_gen(history_in, params, ctx):
     time.sleep(params["sleep"])
     got = 0
     while got < n:
-        tag, recs = ctx.recv()
+        tag, batch = ctx.recv()
         if tag in STOP_TAGS:
             return tag
-        got += len(recs)
+        got += len(batch)
     tag, _ = ctx.send_recv([GenPoint(x) for x in ctx.rng.uniform(0, 1, (1, d))])
     return tag
 
@@ -230,18 +230,17 @@ def starved_gen(history_in, params, ctx):
 def recording_gen(history_in, params, ctx):
     """Persistent generator that saves (sim_id, x, f, returned) of the
     records it was handed, then returns."""
-    rows = [(r.sim_id, r.x.tolist(), r.f, r.returned) for r in history_in]
+    rows = list(zip(history_in.sim_ids.tolist(), history_in.x.tolist(),
+                    history_in.f.tolist(), history_in.returned.tolist()))
     with open(os.path.join(ctx.ensemble_dir, "history_in.pkl"), "wb") as fh:
         pickle.dump(rows, fh)
 
 
 def scribbling_gen(history_in, params, ctx):
     """Persistent generator that writes into every x it receives."""
-    for rec in history_in:
-        rec.x[:] = -1.0
-    tag, recs = ctx.send_recv([GenPoint(np.full(2, 0.5))])
-    for rec in recs:
-        rec.x[:] = -1.0
+    history_in.x[:] = -1.0
+    tag, batch = ctx.send_recv([GenPoint(np.full(2, 0.5))])
+    batch.x[:] = -1.0
     return tag
 
 
@@ -332,9 +331,9 @@ def pack_cancelling_gen(history_in, params, ctx):
            and time.monotonic() < deadline):
         time.sleep(0.005)
     ctx.request_cancel([1])
-    tag, recs = ctx.recv()
+    tag, batch = ctx.recv()
     with open(os.path.join(ctx.ensemble_dir, "received.pkl"), "wb") as fh:
-        pickle.dump((tag, [r.sim_id for r in recs or []]), fh)
+        pickle.dump((tag, batch.sim_ids.tolist()), fh)
 
 
 def first_fails_sim(records, params, ctx):
@@ -353,6 +352,37 @@ def picky_sim(records, params, ctx):
     if any(r.sim_id == 1 for r in records):
         raise RuntimeError("sim 1 exploded")
     return norm_sim(records, params, ctx)
+
+
+def contract_sim(records, params, ctx):
+    """Saves what it sees of the one-record list bench/'s simulators read
+    (records[0].sim_id, rec.sim_id, rec.x), then writes into its x."""
+    rec = records[0]
+    seen = {"list": type(records) is list, "len": len(records),
+            "sim_id": rec.sim_id, "int_id": type(rec.sim_id) is int,
+            "running": set(ctx.current_sim_ids), "x": rec.x.tolist(),
+            "dtype": rec.x.dtype, "shape": rec.x.shape,
+            "requests": (rec.num_procs, rec.num_gpus), "f": rec.f}
+    with open(os.path.join(ctx.sim_dir(rec.sim_id), "seen.pkl"), "wb") as fh:
+        pickle.dump(seen, fh)
+    rec.x[:] = -1.0
+    return [0.0]
+
+
+def assert_sim_saw_its_record(ens_dir, worker, rec):
+    """contract_sim's call for rec received a list of one record, with
+    rec's sim_id and a float64 copy of its x, which no earlier write
+    into a pack-mate's x had changed."""
+    with open(os.path.join(ens_dir, f"worker{worker}", f"sim{rec.sim_id}",
+                           "seen.pkl"), "rb") as fh:
+        seen = pickle.load(fh)
+    assert seen["list"] and seen["len"] == 1
+    assert seen["sim_id"] == rec.sim_id and seen["int_id"]
+    assert seen["running"] == {rec.sim_id}
+    assert seen["dtype"] == np.float64 and seen["shape"] == rec.x.shape
+    assert seen["x"] == rec.x.tolist()
+    # The fields the record does not carry keep their defaults.
+    assert seen["requests"] == (0, 0) and math.isnan(seen["f"])
 
 
 # ---------------------------------------------------------------------------
@@ -968,6 +998,19 @@ class TestPackedWork:
         assert done.results == [(0, 0.0), (2, 2.0)] and done.unstarted == (1,)
         assert not ctx.stopping
 
+    def test_each_call_gets_its_own_record_to_write(self, tmp_path):
+        inbox = PipeInbox()
+        ctx = WorkerContext(2, worker_cfg(ensemble_dir=str(tmp_path)), inbox.reader)
+        h = make_history(points=3)
+        outbox = SentList()
+        _run_sim(ctx, WorkMsg(sim_work((0, 1, 2)), RecordBatch.of_history(h, range(3))),
+                 outbox, contract_sim)
+        assert [sid for sid, _ in outbox[0].results] == [0, 1, 2]
+        for rec in h:
+            assert_sim_saw_its_record(str(tmp_path), 2, rec)
+        # The sims' writes reached neither the history nor a later record.
+        assert np.array_equal(h.columns("x")[0], make_history(points=3).columns("x")[0])
+
     def test_stop_leaves_the_rest_unstarted(self):
         ctx, entered, done = self.run_pack(StopMsg())
         assert entered == [0]
@@ -983,6 +1026,21 @@ class TestWorkerContext:
         inbox.put(StopMsg())
         assert ctx.poll_signals() == [("KILL", 4), ("KILL", 5), ("STOP", None)]
         assert ctx.poll_signals() == []
+
+    def test_poll_signals_reads_an_ended_inbox_as_one_stop(self):
+        """A manager killed mid-pack leaves the inbox ended; the drain
+        between records must end too, or the orphan spins for ever."""
+        inbox = PipeInbox()
+        ctx = WorkerContext(3, worker_cfg(), inbox.reader)
+        inbox.put(KillMsg((4,)))
+        inbox.writer.close()
+        seen = []
+        drain = threading.Thread(target=lambda: seen.append(ctx.poll_signals()),
+                                 daemon=True)
+        drain.start()
+        drain.join(timeout=5)
+        assert seen == [[("KILL", 4), ("STOP", None)]]
+        assert ctx.stopping
 
     def test_executor_needs_a_platform(self):
         ctx = WorkerContext(2, worker_cfg(), PipeInbox().reader)
@@ -1003,7 +1061,9 @@ class TestWorkerContext:
         pctx = PersistentGenContext(ctx, results)
         inbox.put(StopMsg(Tag.PERSIS_STOP))
         assert not ctx.stopping
-        assert pctx.recv() == (Tag.PERSIS_STOP, [])
+        tag, batch = pctx.recv()
+        assert tag == Tag.PERSIS_STOP
+        assert isinstance(batch, RecordBatch) and len(batch) == 0
         assert ctx.stopping
 
 
@@ -1028,35 +1088,54 @@ def batch_history(n_dims, requests=True):
 
 class TestRecordBatch:
     @pytest.mark.parametrize("n_dims", [1, 3])
-    def test_round_trip_keeps_the_sent_fields(self, n_dims):
+    def test_round_trip_keeps_the_sent_columns(self, n_dims):
         h = batch_history(n_dims)
         batch = pickle.loads(pickle.dumps(RecordBatch.of_history(h, range(len(h)))))
-        got = batch.records()
-        assert batch.sim_ids == [0, 1, 2, 3, 4] and len(got) == 5
-        for rec, orig in zip(got, h.records):
-            assert rec.sim_id == orig.sim_id
-            assert rec.x.dtype == np.float64 and rec.x.shape == (n_dims,)
-            assert np.array_equal(rec.x, orig.x)
-            assert rec.f == orig.f or (math.isnan(rec.f) and math.isnan(orig.f))
-            assert rec.returned is orig.returned
-            assert (rec.num_procs, rec.num_gpus) == (orig.num_procs, orig.num_gpus)
-            # Fields the batch does not carry keep their defaults.
-            assert (rec.priority, rec.gen_worker, rec.sim_worker) == (0.0, 0, None)
-            assert not rec.given and rec.given_time is None
-        assert math.isnan(got[1].f)
-        assert [r.returned for r in got] == [True, True, False, False, False]
+        assert len(batch) == 5
+        assert batch.sim_ids.dtype == np.int64 and batch.sim_ids.tolist() == [0, 1, 2, 3, 4]
+        assert batch.x.dtype == np.float64 and batch.x.shape == (5, n_dims)
+        assert np.array_equal(batch.x, [r.x for r in h.records])
+        assert batch.f.dtype == np.float64 and batch.f.shape == (5,)
+        assert batch.f[0] == 0.25 and np.isnan(batch.f[1:]).all()
+        assert batch.returned.dtype == np.bool_
+        assert batch.returned.tolist() == [True, True, False, False, False]
 
-    def test_empty_round_trip(self):
-        batch = pickle.loads(pickle.dumps(RecordBatch.of_history(batch_history(2), [])))
-        assert batch.sim_ids == [] and batch.records() == []
-
-    def test_received_records_are_writable_copies(self):
+    def test_columns_follow_the_ids_asked_for(self):
         h = batch_history(2)
-        batch = RecordBatch.of_history(h, range(len(h)))
-        got = batch.records()
-        got[0].x[:] = -1.0
+        batch = pickle.loads(pickle.dumps(RecordBatch.of_history(h, (3, 0))))
+        assert batch.sim_ids.tolist() == [3, 0]
+        assert np.array_equal(batch.x, [h.get(3).x, h.get(0).x])
+        assert batch.f[1] == 0.25 and batch.returned.tolist() == [False, True]
+
+    @pytest.mark.parametrize("make", [
+        lambda: RecordBatch.of_history(batch_history(2), []), RecordBatch],
+        ids=["of-history", "default"])
+    def test_empty_round_trip(self, make):
+        batch = pickle.loads(pickle.dumps(make()))
+        assert len(batch) == 0 and batch.x.shape == (0, 0)
+        for col, dtype in ((batch.sim_ids, np.int64), (batch.f, np.float64),
+                           (batch.returned, np.bool_)):
+            assert col.shape == (0,) and col.dtype == dtype
+
+    def test_received_columns_are_writable_copies(self):
+        h = batch_history(2)
+        sent = RecordBatch.of_history(h, range(len(h)))
+        got = pickle.loads(pickle.dumps(sent))
+        for col in (got.sim_ids, got.x, got.f, got.returned):
+            assert col.flags.writeable
+            col[:] = 0
         assert np.array_equal(h.get(0).x, np.array([0.0, 1.0]) / 7.0)
-        assert np.array_equal(batch.records()[0].x, h.get(0).x)
+        again = pickle.loads(pickle.dumps(sent))
+        assert np.array_equal(again.x, [r.x for r in h.records])
+        assert again.sim_ids.tolist() == [0, 1, 2, 3, 4]
+        assert again.returned.tolist() == [True, True, False, False, False]
+
+    def test_batch_is_a_snapshot(self):
+        h = batch_history(2)
+        sent = RecordBatch.of_history(h, range(len(h)))
+        h.update_with_results([(2, 9.0)], returned_time=2.0)
+        got = pickle.loads(pickle.dumps(sent))
+        assert np.isnan(got.f[2]) and not got.returned[2]
 
     def test_generator_message_is_a_third_the_size_of_records(self):
         rng = np.random.default_rng(0)
@@ -1758,6 +1837,17 @@ class TestRunEnsemble:
         for got, want in zip(rows, expected):
             assert got[:2] == want[:2] and got[3] is want[3]
             assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
+
+    def test_sims_get_the_one_record_list_bench_reads(self, tmp_path):
+        cfg = run_cfg(tmp_path, gen_params=dict(GEN_BOX, batch_size=8),
+                      exit_criteria=ExitCriteria(sim_max=16))
+        hist, flag = run_ensemble(cfg, random_batch_gen, contract_sim,
+                                  alloc=PersistentAlloc())
+        assert flag == "sim_max" and hist.returned_count() >= 16
+        for rec in hist:
+            if rec.returned:
+                assert_sim_saw_its_record(cfg.ensemble_dir, rec.sim_worker, rec)
+                assert not np.any(rec.x == -1.0)
 
     def test_generator_writing_into_x_leaves_the_history_alone(self, tmp_path):
         H0 = make_history(points=4)
