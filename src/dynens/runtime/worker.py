@@ -184,12 +184,13 @@ class PersistentGenContext:
 
 def _run_sim(ctx: WorkerContext, msg: WorkMsg, outbox, sim_fn) -> None:
     """Run a Work's records in order, one sim_fn call each on a list of
-    one EnsembleRecord of its sim_id and x row. The inbox is drained
-    between records: a KILL for a later record, drained here or earlier
-    by the sim's own poll_signals, withdraws it before it starts, and a
-    STOP leaves the rest of the pack unstarted. An exception makes its
-    own record NaN; under sim_error "nan" the pack goes on, under "abort"
-    the rest of it is left unstarted.
+    one EnsembleRecord that holds the record's sim_id and x row.
+
+    The inbox is drained between records: a KILL for a later record,
+    drained here or earlier by the sim's own poll_signals, withdraws it
+    before it starts, and a STOP leaves the rest of the pack unstarted.
+    An exception makes its own record NaN; under sim_error "nan" the
+    pack goes on, under "abort" the rest of it is left unstarted.
     """
     sim_ids = msg.batch.sim_ids.tolist()
     ctx.assignment = msg.work.assignment

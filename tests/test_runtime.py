@@ -1088,7 +1088,7 @@ def batch_history(n_dims, requests=True):
 
 class TestRecordBatch:
     @pytest.mark.parametrize("n_dims", [1, 3])
-    def test_round_trip_keeps_the_sent_columns(self, n_dims):
+    def test_round_trip_keeps_the_sent_fields(self, n_dims):
         h = batch_history(n_dims)
         batch = pickle.loads(pickle.dumps(RecordBatch.of_history(h, range(len(h)))))
         assert len(batch) == 5
@@ -1107,17 +1107,15 @@ class TestRecordBatch:
         assert np.array_equal(batch.x, [h.get(3).x, h.get(0).x])
         assert batch.f[1] == 0.25 and batch.returned.tolist() == [False, True]
 
-    @pytest.mark.parametrize("make", [
-        lambda: RecordBatch.of_history(batch_history(2), []), RecordBatch],
-        ids=["of-history", "default"])
-    def test_empty_round_trip(self, make):
-        batch = pickle.loads(pickle.dumps(make()))
-        assert len(batch) == 0 and batch.x.shape == (0, 0)
-        for col, dtype in ((batch.sim_ids, np.int64), (batch.f, np.float64),
-                           (batch.returned, np.bool_)):
-            assert col.shape == (0,) and col.dtype == dtype
+    def test_empty_round_trip(self):
+        for empty in (RecordBatch.of_history(batch_history(2), []), RecordBatch()):
+            batch = pickle.loads(pickle.dumps(empty))
+            assert len(batch) == 0 and batch.x.shape == (0, 0)
+            for col, dtype in ((batch.sim_ids, np.int64), (batch.f, np.float64),
+                               (batch.returned, np.bool_)):
+                assert col.shape == (0,) and col.dtype == dtype
 
-    def test_received_columns_are_writable_copies(self):
+    def test_received_records_are_writable_copies(self):
         h = batch_history(2)
         sent = RecordBatch.of_history(h, range(len(h)))
         got = pickle.loads(pickle.dumps(sent))
